@@ -30,12 +30,11 @@ from .errors import (
     NoInvolutionError,
 )
 from .groups import Element, Group, make_group, parse_group_spec
-from .kohler import KohlerGraph, build_graph, connected_components, graph_stats, neighbors
-from .matching import Matching, NoPerfectMatching, SimpleGraph, maximum_matching, one_factor
+from .kohler import KohlerGraph, build_graph, graph_stats
+from .matching import Matching, NoPerfectMatching, maximum_matching, one_factor
 from .orbits import (
     OrbitRep,
     canonicalize,
-    classify_quadruple,
     classify_triple,
     expand_orbit,
     in_E,
@@ -61,15 +60,12 @@ __all__ = [
     "NoInvolutionError",
     "NoPerfectMatching",
     "OrbitRep",
-    "SimpleGraph",
     "VerificationReport",
     "build_B0",
     "build_graph",
     "canonicalize",
     "choose_h0",
-    "classify_quadruple",
     "classify_triple",
-    "connected_components",
     "construct_design",
     "count_B0_formula",
     "count_special_triples_formula",
@@ -82,7 +78,6 @@ __all__ = [
     "is_symmetric_block",
     "make_group",
     "maximum_matching",
-    "neighbors",
     "one_factor",
     "orbit_size",
     "parse_group_spec",

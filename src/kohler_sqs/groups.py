@@ -3,9 +3,7 @@
 A group is specified by a list of cyclic factors ``[d1, ..., dk]`` and its
 elements are coordinate tuples ``(c1, ..., ck)`` with ``ci`` reduced mod
 ``di``.  The factor list is normalized only by sorting it ascending, so the
-caller controls the coordinate structure ([2, 2, 5] keeps three coordinates);
-the strict invariant-factor decomposition is available as a derived property
-for structural queries.
+caller controls the coordinate structure ([2, 2, 5] keeps three coordinates).
 
 All values are immutable and every operation is a pure function, so groups and
 elements can be shared freely across threads.
@@ -48,8 +46,8 @@ def max_order_limit() -> int:
 class Group:
     """A finite abelian group ``Z_d1 x ... x Z_dk`` with tuple elements.
 
-    Construct through :func:`make_group` (which validates and sorts the
-    factors) rather than directly.
+    Construct through :func:`make_group` (which sorts the factors) rather
+    than directly; the factor checks live here, so both routes apply them.
     """
 
     factors: tuple[int, ...]
@@ -70,41 +68,13 @@ class Group:
         return math.prod(self.factors)
 
     @property
-    def rank(self) -> int:
-        return len(self.factors)
-
-    @property
     def zero(self) -> Element:
         return (0,) * len(self.factors)
-
-    @cached_property
-    def exponent(self) -> int:
-        """Least n with n*x = 0 for all x, i.e. lcm of the factors."""
-        return math.lcm(*self.factors)
 
     @cached_property
     def is_sylow2_cyclic(self) -> bool:
         """True iff the Sylow 2-subgroup is cyclic (at most one even factor)."""
         return sum(1 for d in self.factors if d % 2 == 0) <= 1
-
-    @cached_property
-    def invariant_factors(self) -> tuple[int, ...]:
-        """The canonical decomposition d1 | d2 | ... | dk of this group.
-
-        Derived from the coordinate factors; e.g. factors (2, 2, 5) give
-        invariant factors (2, 10).  Coordinates always follow ``factors``,
-        never this property.
-        """
-        primes: dict[int, list[int]] = {}
-        for d in self.factors:
-            for p, e in _factorint(d).items():
-                primes.setdefault(p, []).append(e)
-        depth = max(len(es) for es in primes.values())
-        out = [1] * depth
-        for p, es in primes.items():
-            for slot, e in enumerate(sorted(es, reverse=True)):
-                out[slot] *= p**e
-        return tuple(sorted(out))
 
     # -- element arithmetic ------------------------------------------------
 
@@ -117,15 +87,8 @@ class Group:
     def neg(self, x: Element) -> Element:
         return tuple((-p) % d for p, d in zip(x, self.factors))
 
-    def scale(self, n: int, x: Element) -> Element:
-        return tuple((n * p) % d for p, d in zip(x, self.factors))
-
     def double(self, x: Element) -> Element:
         return tuple((2 * p) % d for p, d in zip(x, self.factors))
-
-    def element_order(self, x: Element) -> int:
-        """Least n >= 1 with n*x = 0."""
-        return math.lcm(*(d // math.gcd(d, c) for c, d in zip(x, self.factors)))
 
     def contains(self, x: object) -> bool:
         return (
@@ -176,43 +139,6 @@ class Group:
     def omega2_size(self) -> int:
         return len(self.omega2)
 
-    def subgroup_generated(self, gens: list[Element] | tuple[Element, ...]) -> frozenset[Element]:
-        """Closure of ``gens`` under addition and negation (the full subgroup)."""
-        for g in gens:
-            self.validate_element(g)
-        seen: set[Element] = {self.zero}
-        frontier = [self.zero]
-        step = list(gens) + [self.neg(g) for g in gens]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in step:
-                    y = self.add(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
-
-    def all_subgroups(self, limit: int | None = None) -> list[frozenset[Element]]:
-        """Every subgroup, as element sets, ordered by (size, sorted elements)."""
-        self.check_capacity(limit)
-        trivial = frozenset({self.zero})
-        found = {trivial}
-        frontier = [trivial]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                for x in self._element_tuple:
-                    if x in sub:
-                        continue
-                    bigger = self.subgroup_generated(tuple(sub) + (x,))
-                    if bigger not in found:
-                        found.add(bigger)
-                        nxt.append(bigger)
-            frontier = nxt
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
-
     def __str__(self) -> str:
         return "Z" + "xZ".join(str(d) for d in self.factors)
 
@@ -223,12 +149,11 @@ def make_group(factors: list[int] | tuple[int, ...]) -> Group:
     The coordinate structure is preserved: ``[2, 2, 5]`` keeps three
     coordinates even though the group is isomorphic to Z2 x Z10.
     """
-    if not factors:
-        raise InvalidSpecError("a group needs at least one cyclic factor")
-    for d in factors:
-        if not isinstance(d, int) or d < 2:
-            raise InvalidSpecError(f"cyclic factors must be integers >= 2, got {d!r}")
-    return Group(tuple(sorted(factors)))
+    try:
+        factors = sorted(factors)
+    except TypeError:
+        pass  # incomparable factors: Group rejects the non-integer among them
+    return Group(tuple(factors))
 
 
 _SPEC_TOKEN = re.compile(r"^z?(\d+)$", re.IGNORECASE)
@@ -252,15 +177,3 @@ def parse_group_spec(spec: str) -> Group:
         factors.append(int(m.group(1)))
     return make_group(factors)
 
-
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out

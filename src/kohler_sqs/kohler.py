@@ -1,4 +1,4 @@
-"""Construction and structural queries for the Koehler graph of an abelian group.
+"""Construction, summary and export of the Koehler graph of an abelian group.
 
 Vertices are the triple orbits in the family T, edges the quadruple orbits in
 the family E; the orbit of {0, a, b, a+b} joins the orbits of {0, a, b} and
@@ -10,17 +10,22 @@ and deduplicates, so it costs O(v^2) orbit insertions.  Vertex and edge
 indices are assigned by sorting canonical bases lexicographically, which
 makes every downstream artifact (matchings, designs, JSON exports)
 reproducible run to run.
+
+The graph has one adjacency representation, ``KohlerGraph.adjacency``: per
+vertex, a tuple of ``(edge_index, neighbour)`` pairs sorted by neighbour.
+The matcher and the component search in :mod:`kohler_sqs.matching` take
+these rows as they are.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 
 from .errors import InvalidInputError
 from .groups import Group
+from .matching import components
 from .orbits import OrbitRep, Subset, canonicalize, in_E, in_T
 
 
@@ -31,12 +36,8 @@ class KohlerGraph:
     edges: tuple[OrbitRep, ...]
     #: per-edge pair of vertex indices (i, j), i < j
     endpoints: tuple[tuple[int, int], ...]
-    #: per-vertex tuple of (edge index, other vertex index)
+    #: per-vertex tuple of (edge index, other vertex index), sorted by the other
     adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
-
-    @cached_property
-    def _lookup(self) -> dict[Subset, int]:
-        return {rep.base: i for i, rep in enumerate(self.vertices)}
 
     def __str__(self) -> str:
         return f"KohlerGraph({self.group}, V={len(self.vertices)}, E={len(self.edges)})"
@@ -111,68 +112,10 @@ def _edge_endpoints(g: Group, base: Subset, vertex_index: dict[Subset, int]) -> 
     raise InvalidInputError(f"edge base {base!r} admits no sum decomposition")
 
 
-def vertex_index(graph: KohlerGraph, vertex: OrbitRep) -> int:
-    try:
-        return graph._lookup[vertex.base]
-    except KeyError:
-        raise InvalidInputError(f"{vertex} is not a vertex of {graph}") from None
-
-
-def neighbors(graph: KohlerGraph, vertex: OrbitRep) -> set[OrbitRep]:
-    """Neighbour set read off the built adjacency."""
-    i = vertex_index(graph, vertex)
-    return {graph.vertices[j] for _, j in graph.adjacency[i]}
-
-
-def formula_neighbors(g: Group, vertex: OrbitRep) -> set[OrbitRep]:
-    """Neighbours recomputed from scratch: {[a, a+b], [b, a-b], [a, b-a]} in T.
-
-    Used to cross-check the adjacency produced by :func:`build_graph`.
-    """
-    if len(vertex.base) != 3:
-        raise InvalidInputError("vertices are triple orbits")
-    _, a, b = vertex.base
-    zero = g.zero
-    out = set()
-    for c, d in ((a, g.add(a, b)), (b, g.sub(a, b)), (a, g.sub(b, a))):
-        if d != zero and d != c and in_T(g, c, d):
-            out.add(canonicalize(g, (zero, c, d)))
-    return out
-
-
-def degree(graph: KohlerGraph, vertex: OrbitRep) -> int:
-    return len(graph.adjacency[vertex_index(graph, vertex)])
-
-
-def is_isolated(graph: KohlerGraph, vertex: OrbitRep) -> bool:
-    return degree(graph, vertex) == 0
-
-
-def connected_components(graph: KohlerGraph) -> tuple[tuple[int, ...], ...]:
-    """Vertex-index components, each sorted, ordered by smallest member."""
-    seen = [False] * len(graph.vertices)
-    components = []
-    for start in range(len(graph.vertices)):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = []
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for _, w in graph.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        components.append(tuple(sorted(comp)))
-    return tuple(components)
-
-
 def graph_stats(graph: KohlerGraph) -> dict:
     """Aggregate summary used by the CLI."""
     degrees = Counter(len(row) for row in graph.adjacency)
-    comps = connected_components(graph)
+    comps = components(graph.adjacency)
     return {
         "group": list(graph.group.factors),
         "vertices": len(graph.vertices),

@@ -1,58 +1,33 @@
 """Maximum matching and 1-factors on general undirected graphs.
 
+A graph is given by its adjacency rows, the representation
+:class:`kohler_sqs.kohler.KohlerGraph` builds: ``rows[v]`` is a sequence of
+``(edge_index, neighbour)`` pairs sorted by neighbour, on vertices
+``0..len(rows)-1``.  The rows are trusted to describe a simple graph (the
+graph builder rejects loops and parallel edges); matched edge indices are read
+off them, and every matching is checked to be symmetric and to use only edges
+of the rows before it is returned.
+
 The matcher is the classic augmenting-path algorithm with blossom
 contraction, O(V^3).  Koehler graphs of general abelian groups contain
 vertices of degree 1 and 2, so the 3-regular shortcut (Petersen's theorem)
 does not always apply; general matching covers every case.
 
-Everything is deterministic: vertices are scanned in index order, adjacency
-lists are sorted, and there is no randomization, so repeated runs produce
-identical matchings.
+Everything is deterministic: vertices are scanned in index order, rows are
+scanned in neighbour order, and there is no randomization, so repeated runs
+produce identical matchings.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InvalidInputError
 
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    """An undirected graph on vertices 0..n-1 with no loops or parallel edges."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InvalidInputError("vertex count must be nonnegative")
-        seen = set()
-        for i, j in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise InvalidInputError(f"edge ({i}, {j}) out of range for n={self.n}")
-            if i == j:
-                raise InvalidInputError(f"self-loop at vertex {i}")
-            key = (i, j) if i < j else (j, i)
-            if key in seen:
-                raise InvalidInputError(f"duplicate edge {key}")
-            seen.add(key)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        rows: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            rows[i].append(j)
-            rows[j].append(i)
-        return tuple(tuple(sorted(row)) for row in rows)
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {
-            ((i, j) if i < j else (j, i)): e for e, (i, j) in enumerate(self.edges)
-        }
+#: per-vertex rows of (edge index, neighbour), each row sorted by neighbour
+Rows = Sequence[Sequence[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -66,15 +41,6 @@ class Matching:
     def size(self) -> int:
         return len(self.matched_edges)
 
-    @property
-    def is_perfect(self) -> bool:
-        return all(m is not None for m in self.mate)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (v, m) for v, m in enumerate(self.mate) if m is not None and v < m
-        )
-
 
 class NoPerfectMatching(Exception):
     """Raised when some connected component admits no perfect matching."""
@@ -86,17 +52,16 @@ class NoPerfectMatching(Exception):
         )
 
 
-def maximum_matching(graph: SimpleGraph) -> Matching:
-    """A maximum-cardinality matching, deterministic given the input ordering."""
-    mate = _blossom_matching(graph.n, graph.adjacency)
-    return _as_matching(graph, mate)
+def maximum_matching(rows: Rows) -> Matching:
+    """A maximum-cardinality matching, deterministic given the row ordering."""
+    return _as_matching(rows, _blossom_matching(rows))
 
 
-def components(graph: SimpleGraph) -> tuple[tuple[int, ...], ...]:
+def components(rows: Rows) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted index tuples, ordered by least vertex."""
-    seen = [False] * graph.n
+    seen = [False] * len(rows)
     out = []
-    for start in range(graph.n):
+    for start in range(len(rows)):
         if seen[start]:
             continue
         seen[start] = True
@@ -105,7 +70,7 @@ def components(graph: SimpleGraph) -> tuple[tuple[int, ...], ...]:
         while queue:
             v = queue.popleft()
             comp.append(v)
-            for w in graph.adjacency[v]:
+            for _, w in rows[v]:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
@@ -113,30 +78,29 @@ def components(graph: SimpleGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def one_factor(graph: SimpleGraph) -> Matching:
+def one_factor(rows: Rows) -> Matching:
     """A perfect matching, solved component by component.
 
     Raises :class:`NoPerfectMatching` carrying the first component (by least
     vertex index) that is odd or leaves a vertex unmatched.
     """
-    mate: list[int | None] = [None] * graph.n
-    for comp in components(graph):
+    mate: list[int | None] = [None] * len(rows)
+    for comp in components(rows):
         if len(comp) % 2 == 1:
             raise NoPerfectMatching(comp)
+        # a component is closed under adjacency, and the index map is
+        # increasing, so the local rows stay sorted by neighbour
         local = {v: i for i, v in enumerate(comp)}
-        comp_set = set(comp)
-        adjacency = tuple(
-            tuple(local[w] for w in graph.adjacency[v] if w in comp_set) for v in comp
-        )
-        sub_mate = _blossom_matching(len(comp), adjacency)
+        sub_rows = tuple(tuple((e, local[w]) for e, w in rows[v]) for v in comp)
+        sub_mate = _blossom_matching(sub_rows)
         if any(m is None for m in sub_mate):
             raise NoPerfectMatching(comp)
         for i, m in enumerate(sub_mate):
             mate[comp[i]] = comp[m]
-    return _as_matching(graph, mate)
+    return _as_matching(rows, mate)
 
 
-def _as_matching(graph: SimpleGraph, mate: list[int | None]) -> Matching:
+def _as_matching(rows: Rows, mate: list[int | None]) -> Matching:
     edge_ids = []
     for v, m in enumerate(mate):
         if m is None:
@@ -144,15 +108,16 @@ def _as_matching(graph: SimpleGraph, mate: list[int | None]) -> Matching:
         if mate[m] != v:
             raise InvalidInputError(f"matching is not symmetric at {v}<->{m}")
         if v < m:
-            key = (v, m)
-            if key not in graph.edge_index:
-                raise InvalidInputError(f"matched pair {key} is not a graph edge")
-            edge_ids.append(graph.edge_index[key])
+            edge = next((e for e, w in rows[v] if w == m), None)
+            if edge is None:
+                raise InvalidInputError(f"matched pair {(v, m)} is not a graph edge")
+            edge_ids.append(edge)
     return Matching(mate=tuple(mate), matched_edges=tuple(sorted(edge_ids)))
 
 
-def _blossom_matching(n: int, adjacency) -> list[int | None]:
+def _blossom_matching(rows: Rows) -> list[int | None]:
     """Mate array of a maximum matching (augmenting paths + blossom contraction)."""
+    n = len(rows)
     match: list[int] = [-1] * n
     parent = [-1] * n
     base = list(range(n))
@@ -190,7 +155,7 @@ def _blossom_matching(n: int, adjacency) -> list[int | None]:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for to in adjacency[v]:
+            for _, to in rows[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):

@@ -31,19 +31,10 @@ TRIPLE_T = "T"
 TRIPLE_T1 = "T1"
 TRIPLE_T2 = "T2"
 
-# Quadruple classification tags, from finest to coarsest.
-QUAD_E = "E"
+# Tags of the forced quadruple families.
 QUAD_Q1 = "Q1"
 QUAD_Q2 = "Q2"
 QUAD_Q3 = "Q3"
-QUAD_QPRIME = "Qprime"  # orbit of some {0, a, b, a+b}
-QUAD_QDPRIME = "Qdprime"  # orbit of some {0, a, -a, h}, 2h = 0
-QUAD_QTPRIME = "Qtprime"  # orbit of {0, h, h', h''}, three involutions
-QUAD_ASYMMETRIC = "Asymmetric"
-
-SYMMETRIC_TAGS = frozenset(
-    {QUAD_E, QUAD_Q1, QUAD_Q2, QUAD_Q3, QUAD_QPRIME, QUAD_QDPRIME, QUAD_QTPRIME}
-)
 
 
 @dataclass(frozen=True)
@@ -56,10 +47,6 @@ class OrbitRep:
 
     group: Group
     base: Subset
-
-    @property
-    def kind(self) -> str:
-        return "triple" if len(self.base) == 3 else "quadruple"
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(x) for x in self.base[1:]) + "]"
@@ -74,12 +61,6 @@ def _validated_points(g: Group, points) -> Subset:
     for p in pts:
         g.validate_element(p)
     return pts
-
-
-def through_zero_sets(g: Group, points) -> frozenset[Subset]:
-    """All members of the orbit of ``points`` that contain 0, as sorted tuples."""
-    pts = _validated_points(g, points)
-    return frozenset(_through_zero_candidates(g, pts))
 
 
 def _through_zero_candidates(g: Group, pts: Subset) -> list[Subset]:
@@ -184,68 +165,6 @@ def classify_triple(g: Group, rep: OrbitRep) -> str:
     if ta == zero or tb == zero or ta == tb:
         return TRIPLE_T2
     return TRIPLE_T
-
-
-def classify_quadruple(g: Group, rep: OrbitRep, h0: Element | None = None) -> str:
-    """Finest applicable tag for a quadruple orbit.
-
-    Priority: E, Q1, Q2, Q3, then the coarse symmetric shapes Qprime
-    ({0,a,b,a+b}), Qdprime ({0,a,-a,h}) and Qtprime (three involutions),
-    else Asymmetric.  Q1 and Q2 depend on the distinguished involution
-    ``h0``; without it they are skipped and such orbits fall through to the
-    coarse tags.  The orbit is symmetric (fixed by negation up to
-    translation) iff the result is not Asymmetric.
-    """
-    base = _checked_base(g, rep)
-    if len(base) != 4:
-        raise InvalidInputError("classify_quadruple needs a quadruple orbit")
-    if h0 is not None:
-        g.validate_element(h0)
-        if g.double(h0) != g.zero or h0 == g.zero:
-            raise InvalidInputError(f"h0 must have order 2, got {h0!r}")
-    zero = g.zero
-    omega1 = set(g.omega1)
-    base_nonzero = base[1:]
-
-    sum_decompositions = [
-        (p, q)
-        for i, p in enumerate(base_nonzero)
-        for q in base_nonzero[i + 1 :]
-        if g.add(p, q) in base_nonzero
-    ]
-    if any(in_E(g, p, q) for p, q in sum_decompositions):
-        return QUAD_E
-
-    through_zero = set(_through_zero_candidates(g, base))
-    if h0 is not None:
-        for member in through_zero:
-            rest = [x for x in member if x != zero]
-            if h0 in rest:
-                pair = [x for x in rest if x != h0]
-                if len(pair) == 2 and pair[1] == g.neg(pair[0]):
-                    return QUAD_Q1
-        for member in through_zero:
-            rest = [x for x in member if x != zero]
-            for h in rest:
-                if h in omega1 and h != h0:
-                    x, y = (p for p in rest if p != h)
-                    if y == g.add(x, h) and x not in omega1 and g.double(x) != h:
-                        return QUAD_Q2
-
-    if all(x in omega1 for x in base_nonzero) and sum_decompositions:
-        return QUAD_Q3
-    if sum_decompositions:
-        return QUAD_QPRIME
-    for member in through_zero:
-        rest = [x for x in member if x != zero]
-        for h in rest:
-            if h in omega1:
-                pair = [x for x in rest if x != h]
-                if len(pair) == 2 and pair[1] == g.neg(pair[0]):
-                    return QUAD_QDPRIME
-    if all(x in omega1 for x in base_nonzero):
-        return QUAD_QTPRIME
-    return QUAD_ASYMMETRIC
 
 
 def is_symmetric_block(g: Group, block) -> bool:

@@ -16,6 +16,7 @@ from kohler_sqs.engine import (
     condition_iv_diagnostics,
     construct_design,
     count_B0_formula,
+    count_special_triples,
     count_special_triples_formula,
     verify_design,
     verify_sqs,
@@ -27,13 +28,11 @@ from kohler_sqs.fixtures import (
     sqs20_core_blocks,
     sqs20_group,
 )
-from kohler_sqs.kohler import build_graph, connected_components
-from kohler_sqs.matching import NoPerfectMatching, SimpleGraph, maximum_matching, one_factor
+from kohler_sqs.kohler import build_graph
+from kohler_sqs.matching import NoPerfectMatching, components, maximum_matching, one_factor
 from kohler_sqs.orbits import (
-    QUAD_ASYMMETRIC,
     QUAD_Q2,
     canonicalize,
-    classify_quadruple,
     classify_triple,
     expand_orbit,
     in_T,
@@ -42,12 +41,18 @@ from kohler_sqs.orbits import (
 )
 
 from util import (
+    QUAD_ASYMMETRIC,
     abelian_groups_of_order,
     abelian_groups_up_to,
+    all_subgroups,
+    b0_blocks,
     brute_force_matching_size,
+    classify_quadruple,
     is_bipartite,
     isolated_by_characterization,
     quadruple_orbit_reps,
+    rows_from_edges,
+    scale,
     triple_orbit_reps,
 )
 
@@ -71,10 +76,10 @@ def test_criterion_1_z4xz4_end_to_end():
         assert len(graph.vertices) == 8
         assert len(graph.edges) == 12
         assert all(len(row) == 3 for row in graph.adjacency)
-        assert len(connected_components(graph)) == 1
+        assert len(components(graph.adjacency)) == 1
         assert is_bipartite(graph.adjacency)
-        factor = one_factor(SimpleGraph(len(graph.vertices), graph.endpoints))
-        assert factor.is_perfect and factor.size == 4
+        factor = one_factor(graph.adjacency)
+        assert None not in factor.mate and factor.size == 4
         design = construct_design(g)
         assert design.block_count == 140
         report = verify_design(g, design.blocks)
@@ -142,6 +147,7 @@ def test_criterion_4_counting_oracle():
                     if classify_triple(g, canonicalize(g, triple)) in ("T1", "T2")
                 )
                 assert enumerated_special == formula_special, g.factors
+                assert count_special_triples(g) == enumerated_special, g.factors
 
                 forced = build_B0(g, h0)
                 assert len(forced) == formula_b0, g.factors
@@ -218,10 +224,10 @@ def test_criterion_6_z10_end_to_end():
         assert len(graph.edges) == 1
         design = construct_design(g)
         assert design.block_count == 30
-        b0_blocks = set(design.b0_blocks())
-        assert len(b0_blocks) == 20
+        forced = set(b0_blocks(design))
+        assert len(forced) == 20
         edge_orbit = expand_orbit(g, canonicalize(g, ((0,), (1,), (3,), (4,))))
-        assert set(design.blocks) - b0_blocks == edge_orbit
+        assert set(design.blocks) - forced == edge_orbit
         assert len(edge_orbit) == 10
         report = verify_design(g, design.blocks)
         assert report.is_sqs is True
@@ -251,12 +257,12 @@ def test_criterion_7_property_suite():
                     g.add(g.double(a), b),
                     g.add(a, g.double(b)),
                     g.double(g.add(a, b)),
-                    g.sub(g.scale(3, a), b),
-                    g.sub(g.scale(3, a), g.double(b)),
-                    g.sub(g.scale(4, a), g.double(b)),
-                    g.sub(g.scale(3, b), a),
-                    g.sub(g.scale(3, b), g.double(a)),
-                    g.sub(g.scale(4, b), g.double(a)),
+                    g.sub(scale(g, 3, a), b),
+                    g.sub(scale(g, 3, a), g.double(b)),
+                    g.sub(scale(g, 4, a), g.double(b)),
+                    g.sub(scale(g, 3, b), a),
+                    g.sub(scale(g, 3, b), g.double(a)),
+                    g.sub(scale(g, 4, b), g.double(a)),
                 )
                 assert (len(row) == 3) == (g.zero not in combos), (g.factors, rep.base)
                 assert (len(row) == 0) == isolated_by_characterization(g, rep.base), (
@@ -288,7 +294,7 @@ def test_criterion_7_property_suite():
                 )
 
             index_of = {rep.base: i for i, rep in enumerate(graph.vertices)}
-            for sub in g.all_subgroups():
+            for sub in all_subgroups(g):
                 nonzero = [x for x in sorted(sub) if x != g.zero]
                 image = set()
                 for a, b in combinations(nonzero, 2):
@@ -320,14 +326,13 @@ def test_criterion_8_matching_oracle():
             possible = list(combinations(range(n), 2))
             density = rng.choice([0.1, 0.2, 0.35, 0.5, 0.7])
             edges = tuple(e for e in possible if rng.random() < density)
-            graph = SimpleGraph(n, edges)
-            got = maximum_matching(graph)
+            got = maximum_matching(rows_from_edges(n, edges))
             assert got.size == brute_force_matching_size(n, list(edges)), (n, edges)
         for g in abelian_groups_up_to(16):
             graph = build_graph(g)
-            simple = SimpleGraph(len(graph.vertices), graph.endpoints)
-            got = maximum_matching(simple)
-            assert got.size == brute_force_matching_size(simple.n, list(simple.edges)), g.factors
+            got = maximum_matching(graph.adjacency)
+            size = brute_force_matching_size(len(graph.vertices), list(graph.endpoints))
+            assert got.size == size, g.factors
 
     _criterion(8, "blossom matching agrees with brute force on 200 random + Koehler graphs", check)
 
@@ -338,9 +343,8 @@ def test_small_prime_diagnostics():
     results = {}
     for p in (5, 7, 11, 13):
         graph = build_graph(make_group([2 * p]))
-        simple = SimpleGraph(len(graph.vertices), graph.endpoints)
         try:
-            one_factor(simple)
+            one_factor(graph.adjacency)
             results[p] = True
         except NoPerfectMatching:
             results[p] = False

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,28 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# exit code and stdout sha256 of the 0.1.0 pipeline; any drift in the chosen
+# 1-factor, the block order or the JSON layout changes them
+PINNED_STDOUT = {
+    "construct --group 2,2,5": (0, "50dbe914441b38a22a72bf2e348f1667f379127b21f5fd225ebe5d55baa0b9ce"),
+    "construct --group 4,4": (0, "9748cee404e879e19921db766eade65159b0f8f199e7fbbe56f37b8a5901d5cb"),
+    "construct --group 50": (0, "782c0cdc25f723be89966c71cca2775205258fea6ffdbd177154c67f56d08763"),
+    "exists --group 14": (2, "377c0f165c7f635918929646c32ff80d15debff83e9b78b49fa40102766baf9d"),
+    "exists --group 2,2,7": (4, "7ee88a1e10a17de53bc0d145907bc658771b1ae3c6bb2cf193a054cb2bfccca9"),
+    "graph --export --group 2,2,5": (0, "edd9ccf36498649e728ecca9de9aef8ae7c6983960a242607664ff90498820e9"),
+    "graph --stats --group 28": (0, "767d84d9ce194a1115c73a286d28f1da2b60e769e7ae76f0845879569a070cfd"),
+    "count --group 2,2,2,2": (0, "c140ff58fea10e8b2b20edae0d03ffaab11467029333ba53647df207f8958295"),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(capsys, argv):
+    code, digest = PINNED_STDOUT[argv]
+    got_code, out, _ = run_cli(capsys, *argv.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_construct_success(capsys):

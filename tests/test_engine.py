@@ -27,13 +27,9 @@ from kohler_sqs.engine import (
     verify_sqs,
 )
 from kohler_sqs.kohler import build_graph
-from kohler_sqs.orbits import (
-    QUAD_E,
-    canonicalize,
-    classify_quadruple,
-    classify_triple,
-    expand_orbit,
-)
+from kohler_sqs.orbits import canonicalize, classify_triple, expand_orbit
+
+from util import QUAD_E, b0_blocks, classify_quadruple, factor_edge_indices
 
 Z10 = make_group([10])
 Z44 = make_group([4, 4])
@@ -98,17 +94,17 @@ def test_counting_rejects_bad_order():
 def test_construct_design_z10():
     d = construct_design(Z10)
     assert d.block_count == 30
-    assert len(d.b0_blocks()) == 20
+    assert len(b0_blocks(d)) == 20
     factor_blocks = [b for b, p in zip(d.blocks, d.provenance) if p != B0_TAG]
     assert set(factor_blocks) == expand_orbit(Z10, canonicalize(Z10, t(0, 1, 3, 4)))
-    assert d.factor_edge_indices() == (0,)
+    assert factor_edge_indices(d) == (0,)
 
 
 def test_construct_design_z44():
     d = construct_design(Z44)
     assert d.block_count == 140
-    assert len(d.b0_blocks()) == 76
-    assert len(d.factor_edge_indices()) == 4  # 1-factor of the 3-cube
+    assert len(b0_blocks(d)) == 76
+    assert len(factor_edge_indices(d)) == 4  # 1-factor of the 3-cube
     report = verify_design(Z44, d.blocks)
     assert report.is_sqs and report.is_reversible
 
@@ -132,7 +128,7 @@ def test_block_count_identity():
         v = g.order
         assert d.block_count == v * (v - 1) * (v - 2) // 24
         graph = build_graph(g)
-        assert d.block_count == len(d.b0_blocks()) + v * (len(graph.vertices) // 2)
+        assert d.block_count == len(b0_blocks(d)) + v * (len(graph.vertices) // 2)
 
 
 def test_factor_blocks_are_edge_orbits():

@@ -3,12 +3,11 @@ from itertools import combinations
 
 import pytest
 
-from kohler_sqs import InvalidInputError, make_group
-from kohler_sqs.kohler import build_graph, connected_components
+from kohler_sqs import make_group
+from kohler_sqs.kohler import build_graph
 from kohler_sqs.matching import (
     Matching,
     NoPerfectMatching,
-    SimpleGraph,
     components,
     maximum_matching,
     one_factor,
@@ -17,60 +16,54 @@ from kohler_sqs.matching import (
 from util import (
     abelian_groups_up_to,
     brute_force_matching_size,
+    rows_from_edges,
     two_edge_connected,
 )
 
 
-def cube_graph() -> SimpleGraph:
+def cube_graph():
     edges = []
     for v in range(8):
         for bit in (1, 2, 4):
             w = v ^ bit
             if v < w:
                 edges.append((v, w))
-    return SimpleGraph(8, tuple(edges))
+    return rows_from_edges(8, edges)
 
 
-def assert_valid(graph: SimpleGraph, m: Matching) -> None:
+def assert_valid(edges, m: Matching) -> None:
     used = set()
     for v, mate in enumerate(m.mate):
         if mate is None:
             continue
         assert m.mate[mate] == v
-        assert (min(v, mate), max(v, mate)) in graph.edge_index
         used.add(v)
     assert len(used) == 2 * m.size
+    assert sorted(tuple(edges[e]) for e in m.matched_edges) == sorted(
+        (v, mate) for v, mate in enumerate(m.mate) if mate is not None and v < mate
+    )
 
 
 def test_cube_has_perfect_matching():
     m = maximum_matching(cube_graph())
     assert m.size == 4
-    assert m.is_perfect
+    assert None not in m.mate
 
 
 def test_trivial_graphs():
-    assert maximum_matching(SimpleGraph(1, ())).size == 0
-    path3 = SimpleGraph(3, ((0, 1), (1, 2)))
+    assert maximum_matching(rows_from_edges(1, ())).size == 0
+    path3 = rows_from_edges(3, ((0, 1), (1, 2)))
     assert maximum_matching(path3).size == 1
-
-
-def test_graph_validation():
-    with pytest.raises(InvalidInputError):
-        SimpleGraph(2, ((0, 0),))
-    with pytest.raises(InvalidInputError):
-        SimpleGraph(2, ((0, 1), (1, 0)))
-    with pytest.raises(InvalidInputError):
-        SimpleGraph(2, ((0, 2),))
 
 
 def test_blossom_on_odd_cycles():
     # triangle with a pendant: matching size 2
-    g = SimpleGraph(4, ((0, 1), (1, 2), (2, 0), (2, 3)))
+    g = rows_from_edges(4, ((0, 1), (1, 2), (2, 0), (2, 3)))
     assert maximum_matching(g).size == 2
     # two triangles joined by a bridge: perfect matching exists
-    g2 = SimpleGraph(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)))
+    g2 = rows_from_edges(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)))
     m = maximum_matching(g2)
-    assert m.size == 3 and m.is_perfect
+    assert m.size == 3 and None not in m.mate
 
 
 def test_against_brute_force_random():
@@ -79,46 +72,55 @@ def test_against_brute_force_random():
         n = rng.randint(2, 10)
         possible = list(combinations(range(n), 2))
         edges = tuple(e for e in possible if rng.random() < rng.choice([0.15, 0.3, 0.5]))
-        graph = SimpleGraph(n, edges)
-        m = maximum_matching(graph)
-        assert_valid(graph, m)
+        m = maximum_matching(rows_from_edges(n, edges))
+        assert_valid(edges, m)
         assert m.size == brute_force_matching_size(n, list(edges))
 
 
 def test_against_brute_force_kohler_graphs():
     for g in abelian_groups_up_to(16):
         graph = build_graph(g)
-        simple = SimpleGraph(len(graph.vertices), graph.endpoints)
-        m = maximum_matching(simple)
-        assert_valid(simple, m)
-        assert m.size == brute_force_matching_size(simple.n, list(simple.edges))
+        m = maximum_matching(graph.adjacency)
+        assert_valid(graph.endpoints, m)
+        assert m.size == brute_force_matching_size(len(graph.vertices), list(graph.endpoints))
+
+
+def test_matching_size_agrees_with_networkx_on_kohler_graphs():
+    nx = pytest.importorskip("networkx")
+    for g in abelian_groups_up_to(48):
+        graph = build_graph(g)
+        reference = nx.Graph()
+        reference.add_nodes_from(range(len(graph.vertices)))
+        reference.add_edges_from(graph.endpoints)
+        expected = len(nx.max_weight_matching(reference, maxcardinality=True))
+        assert maximum_matching(graph.adjacency).size == expected, g.factors
 
 
 def test_one_factor_examples():
     g44 = build_graph(make_group([4, 4]))
-    factor = one_factor(SimpleGraph(len(g44.vertices), g44.endpoints))
-    assert factor.is_perfect and factor.size == 4
+    factor = one_factor(g44.adjacency)
+    assert None not in factor.mate and factor.size == 4
 
     g8 = build_graph(make_group([8]))
     with pytest.raises(NoPerfectMatching) as exc:
-        one_factor(SimpleGraph(len(g8.vertices), g8.endpoints))
+        one_factor(g8.adjacency)
     assert exc.value.component == (0,)
 
     g10 = build_graph(make_group([10]))
-    factor = one_factor(SimpleGraph(len(g10.vertices), g10.endpoints))
+    factor = one_factor(g10.adjacency)
     assert factor.matched_edges == (0,)
 
 
 def test_one_factor_witness_is_first_failing_component():
     # component {0,1} is matchable, component {2,3,4} is an odd path
-    g = SimpleGraph(5, ((0, 1), (2, 3), (3, 4)))
+    g = rows_from_edges(5, ((0, 1), (2, 3), (3, 4)))
     with pytest.raises(NoPerfectMatching) as exc:
         one_factor(g)
     assert exc.value.component == (2, 3, 4)
 
 
 def test_components_ordering():
-    g = SimpleGraph(5, ((3, 4), (0, 2)))
+    g = rows_from_edges(5, ((3, 4), (0, 2)))
     assert components(g) == ((0, 2), (1,), (3, 4))
 
 
@@ -129,9 +131,8 @@ def test_petersen_consistency_on_kohler_components():
     for g in (make_group([3, 6]), make_group([20]), make_group([3, 12])):
         assert g.is_sylow2_cyclic
         graph = build_graph(g)
-        simple = SimpleGraph(len(graph.vertices), graph.endpoints)
-        m = maximum_matching(simple)
-        for comp in connected_components(graph):
+        m = maximum_matching(graph.adjacency)
+        for comp in components(graph.adjacency):
             if any(len(graph.adjacency[v]) != 3 for v in comp):
                 continue
             if not two_edge_connected(graph, comp):
@@ -145,7 +146,7 @@ def test_determinism():
     rng = random.Random(5)
     n = 9
     edges = tuple(e for e in combinations(range(n), 2) if rng.random() < 0.4)
-    g = SimpleGraph(n, edges)
+    g = rows_from_edges(n, edges)
     first = maximum_matching(g)
     for _ in range(3):
         again = maximum_matching(g)

@@ -5,25 +5,28 @@ import pytest
 
 from kohler_sqs import InvalidInputError, make_group
 from kohler_sqs.orbits import (
-    QUAD_ASYMMETRIC,
-    QUAD_E,
     QUAD_Q1,
     QUAD_Q3,
     TRIPLE_T,
     TRIPLE_T1,
     TRIPLE_T2,
     canonicalize,
-    classify_quadruple,
     classify_triple,
     expand_orbit,
     in_E,
     in_T,
     is_symmetric_block,
     orbit_size,
-    through_zero_sets,
 )
 
-from util import quadruple_orbit_reps, triple_orbit_reps
+from util import (
+    QUAD_ASYMMETRIC,
+    QUAD_E,
+    classify_quadruple,
+    quadruple_orbit_reps,
+    through_zero_sets,
+    triple_orbit_reps,
+)
 
 Z10 = make_group([10])
 Z8 = make_group([8])

@@ -3,16 +3,24 @@
 Everything here is deliberately independent of the library's own algorithms:
 brute-force matching enumerates augmenting structure by exhaustive search,
 group enumeration goes through prime partitions, and the isolated-vertex
-characterization re-derives orbit equality from scratch.
+characterization re-derives orbit equality from scratch.  The structural
+queries (subgroups, element orders, neighbour formulas, quadruple
+classification) exist only to check the pipeline, so they live here rather
+than in the package.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
-from kohler_sqs import kohler, make_group
-from kohler_sqs.groups import Group
-from kohler_sqs.orbits import canonicalize
+from kohler_sqs import Design, InvalidInputError, kohler, make_group
+from kohler_sqs.engine import B0_TAG, FACTOR_TAG_PREFIX
+from kohler_sqs.groups import Element, Group
+from kohler_sqs.orbits import QUAD_Q1, QUAD_Q2, QUAD_Q3, OrbitRep, canonicalize, in_E, in_T
+
+QUAD_E = "E"
+QUAD_ASYMMETRIC = "Asymmetric"
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
@@ -141,11 +149,11 @@ def isolated_by_characterization(g: Group, base) -> bool:
     for c in g.elements():
         if c == zero:
             continue
-        tc = g.scale(3, c)
-        if g.scale(7, c) == zero or g.scale(8, c) == zero:
+        tc = scale(g, 3, c)
+        if scale(g, 7, c) == zero or scale(g, 8, c) == zero:
             if tc not in (zero, c) and canonicalize(g, (zero, c, tc)).base == base:
                 return True
-        if g.scale(6, c) == zero:
+        if scale(g, 6, c) == zero:
             for h in g.omega1:
                 d = g.add(g.neg(c), h)
                 if d not in (zero, c) and canonicalize(g, (zero, c, d)).base == base:
@@ -155,7 +163,7 @@ def isolated_by_characterization(g: Group, base) -> bool:
 
 def subgroup_is_cyclic(g: Group, elements: frozenset) -> bool:
     size = len(elements)
-    return any(g.element_order(x) == size for x in elements)
+    return any(element_order(g, x) == size for x in elements)
 
 
 def quadruple_orbit_reps(g: Group):
@@ -179,3 +187,183 @@ def triple_orbit_reps(g: Group):
         if base not in seen:
             seen.add(base)
             yield base
+
+
+def rows_from_edges(n: int, edges) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Adjacency rows as :class:`KohlerGraph` builds them: per vertex, the
+    ``(edge index, neighbour)`` pairs sorted by neighbour."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(edges):
+        rows[i].append((e, j))
+        rows[j].append((e, i))
+    return tuple(tuple(sorted(row, key=lambda t: t[1])) for row in rows)
+
+
+# -- group structure -------------------------------------------------------
+
+
+def scale(g: Group, n: int, x: Element) -> Element:
+    return tuple((n * p) % d for p, d in zip(x, g.factors))
+
+
+def exponent(g: Group) -> int:
+    """Least n with n*x = 0 for all x, i.e. lcm of the factors."""
+    return math.lcm(*g.factors)
+
+
+def element_order(g: Group, x: Element) -> int:
+    """Least n >= 1 with n*x = 0."""
+    return math.lcm(*(d // math.gcd(d, c) for c, d in zip(x, g.factors)))
+
+
+def invariant_factors(g: Group) -> tuple[int, ...]:
+    """The canonical decomposition d1 | d2 | ... | dk, e.g. (2, 2, 5) -> (2, 10)."""
+    primes: dict[int, list[int]] = {}
+    for d in g.factors:
+        for p, e in _factorint(d).items():
+            primes.setdefault(p, []).append(e)
+    out = [1] * max(len(es) for es in primes.values())
+    for p, es in primes.items():
+        for slot, e in enumerate(sorted(es, reverse=True)):
+            out[slot] *= p**e
+    return tuple(sorted(out))
+
+
+def subgroup_generated(g: Group, gens) -> frozenset[Element]:
+    """Closure of ``gens`` under addition and negation (the full subgroup)."""
+    seen: set[Element] = {g.zero}
+    frontier = [g.zero]
+    step = list(gens) + [g.neg(x) for x in gens]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in step:
+                y = g.add(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def all_subgroups(g: Group) -> list[frozenset[Element]]:
+    """Every subgroup, as element sets, ordered by (size, sorted elements)."""
+    found = {frozenset({g.zero})}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for x in g.elements():
+                if x in sub:
+                    continue
+                bigger = subgroup_generated(g, tuple(sub) + (x,))
+                if bigger not in found:
+                    found.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+# -- design provenance -----------------------------------------------------
+
+
+def b0_blocks(design: Design) -> tuple[tuple[Element, ...], ...]:
+    return tuple(b for b, p in zip(design.blocks, design.provenance) if p == B0_TAG)
+
+
+def factor_edge_indices(design: Design) -> tuple[int, ...]:
+    """Sorted Koehler-graph edge indices named by ``factor:<idx>`` provenance."""
+    return tuple(
+        sorted({int(p[len(FACTOR_TAG_PREFIX) :]) for p in design.provenance if p.startswith(FACTOR_TAG_PREFIX)})
+    )
+
+
+# -- Koehler graph queries -------------------------------------------------
+
+
+def neighbors(graph: kohler.KohlerGraph, vertex: OrbitRep) -> set[OrbitRep]:
+    """Neighbour set read off the built adjacency."""
+    if vertex not in graph.vertices:
+        raise InvalidInputError(f"{vertex} is not a vertex of {graph}")
+    return {graph.vertices[j] for _, j in graph.adjacency[graph.vertices.index(vertex)]}
+
+
+def degree(graph: kohler.KohlerGraph, vertex: OrbitRep) -> int:
+    return len(neighbors(graph, vertex))
+
+
+def formula_neighbors(g: Group, vertex: OrbitRep) -> set[OrbitRep]:
+    """Neighbours recomputed from scratch: {[a, a+b], [b, a-b], [a, b-a]} in T."""
+    _, a, b = vertex.base
+    zero = g.zero
+    out = set()
+    for c, d in ((a, g.add(a, b)), (b, g.sub(a, b)), (a, g.sub(b, a))):
+        if d != zero and d != c and in_T(g, c, d):
+            out.add(canonicalize(g, (zero, c, d)))
+    return out
+
+
+# -- orbit classification --------------------------------------------------
+
+
+def through_zero_sets(g: Group, points) -> frozenset[tuple[Element, ...]]:
+    """All members of the orbit of ``points`` that contain 0, as sorted tuples."""
+    pts = tuple(points)
+    negs = tuple(g.neg(p) for p in pts)
+    return frozenset(tuple(sorted(g.sub(p, x) for p in side)) for side in (pts, negs) for x in side)
+
+
+def classify_quadruple(g: Group, rep: OrbitRep, h0: Element | None = None) -> str:
+    """Finest applicable tag for a quadruple orbit.
+
+    Priority: E, Q1, Q2, Q3, then the coarse symmetric shapes "Qprime"
+    ({0,a,b,a+b}), "Qdprime" ({0,a,-a,h} with 2h = 0) and "Qtprime" (three
+    involutions), else Asymmetric.  Q1 and Q2 depend on the distinguished
+    involution ``h0``; without it such orbits fall through to the coarse
+    tags.  The orbit is symmetric (fixed by negation up to translation) iff
+    the result is not Asymmetric.
+    """
+    base = rep.base
+    zero = g.zero
+    omega1 = set(g.omega1)
+    base_nonzero = base[1:]
+
+    sum_decompositions = [
+        (p, q)
+        for i, p in enumerate(base_nonzero)
+        for q in base_nonzero[i + 1 :]
+        if g.add(p, q) in base_nonzero
+    ]
+    if any(in_E(g, p, q) for p, q in sum_decompositions):
+        return QUAD_E
+
+    through_zero = through_zero_sets(g, base)
+    if h0 is not None:
+        for member in through_zero:
+            rest = [x for x in member if x != zero]
+            if h0 in rest:
+                pair = [x for x in rest if x != h0]
+                if len(pair) == 2 and pair[1] == g.neg(pair[0]):
+                    return QUAD_Q1
+        for member in through_zero:
+            rest = [x for x in member if x != zero]
+            for h in rest:
+                if h in omega1 and h != h0:
+                    x, y = (p for p in rest if p != h)
+                    if y == g.add(x, h) and x not in omega1 and g.double(x) != h:
+                        return QUAD_Q2
+
+    if all(x in omega1 for x in base_nonzero) and sum_decompositions:
+        return QUAD_Q3
+    if sum_decompositions:
+        return "Qprime"
+    for member in through_zero:
+        rest = [x for x in member if x != zero]
+        for h in rest:
+            if h in omega1:
+                pair = [x for x in rest if x != h]
+                if len(pair) == 2 and pair[1] == g.neg(pair[0]):
+                    return "Qdprime"
+    if all(x in omega1 for x in base_nonzero):
+        return "Qtprime"
+    return QUAD_ASYMMETRIC

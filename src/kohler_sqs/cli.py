@@ -74,9 +74,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.design, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    design = engine.design_from_json_dict(payload)
-    report = engine.verify_design(design.group, design.blocks)
+        design = engine.design_from_json_dict(json.load(fh))
+    report = design.verify()
     _emit(report.to_json_dict())
     return EXIT_OK if report.is_sqs and report.is_reversible else EXIT_VERIFY_FAILED
 

@@ -19,7 +19,9 @@ SQS(20) fixture).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -31,7 +33,7 @@ from .errors import (
     NoInvolutionError,
 )
 from .groups import Element, Group, make_group, max_order_limit
-from .orbits import OrbitRep, Subset
+from .orbits import Codes, OrbitRep, Subset
 
 Block = Subset
 
@@ -85,39 +87,47 @@ def _validate_h0(g: Group, h0: Element) -> Element:
     return h0
 
 
-def b0_orbit_reps(g: Group, h0: Element) -> dict[OrbitRep, str]:
-    """Canonical representatives of the forced orbits, tagged Q1/Q2/Q3."""
+def _b0_bases(g: Group, h0: Element) -> dict[Codes, str]:
+    """Canonical bases of the forced orbits as codes, tagged Q1/Q2/Q3."""
     require_sqs_order(g)
     _validate_h0(g, h0)
-    zero = g.zero
-    omega1 = set(g.omega1)
-    reps: dict[OrbitRep, str] = {}
-    for a in g.elements():
-        if a in omega1:
+    h0 = g.encode(h0)
+    neg, double = g.neg_table, g.double_table
+    involutions = [h for h in range(1, g.order) if double[h] == 0]
+    outside = [a for a in range(g.order) if double[a] != 0]
+    bases: dict[Codes, str] = {}
+    for a in outside:
+        bases.setdefault(orbits._canonical(g, (0, a, neg[a], h0)), orbits.QUAD_Q1)
+    # Q2 and Q3 blocks have the shape {0, a, b, a+b}, with b - a = h - a and
+    # b - a = h' + h (an involution is its own negative)
+    for h in involutions:
+        if h == h0:
             continue
-        rep = orbits.canonicalize(g, (zero, a, g.neg(a), h0))
-        reps.setdefault(rep, orbits.QUAD_Q1)
-    for h in g.omega1:
-        if h == zero or h == h0:
-            continue
-        for a in g.elements():
-            if a in omega1 or g.double(a) == h:
-                continue
-            rep = orbits.canonicalize(g, (zero, a, h, g.add(h, a)))
-            reps.setdefault(rep, orbits.QUAD_Q2)
-    involutions = [h for h in g.omega1 if h != zero]
+        plus = g.translation(h)
+        for a in outside:
+            if double[a] != h:
+                base = orbits._canonical_edge(neg, a, h, plus[a], plus[neg[a]])
+                bases.setdefault(base, orbits.QUAD_Q2)
     for h, hp in combinations(involutions, 2):
-        rep = orbits.canonicalize(g, (zero, h, hp, g.add(h, hp)))
-        reps.setdefault(rep, orbits.QUAD_Q3)
-    return reps
+        s = g.add_codes(h, hp)
+        bases.setdefault(orbits._canonical_edge(neg, h, hp, s, s), orbits.QUAD_Q3)
+    return bases
+
+
+def b0_orbit_reps(g: Group, h0: Element) -> dict[OrbitRep, str]:
+    """Canonical representatives of the forced orbits, tagged Q1/Q2/Q3."""
+    bases = _b0_bases(g, h0)
+    elements = g.elements()
+    return {OrbitRep(g, orbits._decoded(elements, base)): tag for base, tag in bases.items()}
 
 
 def build_B0(g: Group, h0: Element) -> frozenset[Block]:
     """The forced block set B0 (union of the expanded Q1, Q2, Q3 orbits)."""
-    blocks: set[Block] = set()
-    for rep in b0_orbit_reps(g, h0):
-        blocks.update(orbits.expand_orbit(g, rep))
-    return frozenset(blocks)
+    blocks: set[Codes] = set()
+    for base in _b0_bases(g, h0):
+        blocks.update(orbits._expand(g, base))
+    elements = g.elements()
+    return frozenset(orbits._decoded(elements, block) for block in blocks)
 
 
 def count_B0_formula(g: Group) -> int:
@@ -152,12 +162,28 @@ def count_special_triples(g: Group) -> int:
 
     Every triple orbit has a member {0, a, b}, so canonicalizing those over
     the pairs of nonzero elements finds each special orbit; their sizes sum
-    to the count in O(v^2) canonicalizations instead of one per triple.
+    to the count in O(v^2) canonicalizations instead of one per triple.  An
+    orbit with n0 members through 0 has v * n0 / 3 members.
     """
-    zero = g.zero
-    reps = {orbits.canonicalize(g, (zero, a, b)) for a, b in combinations(g.elements()[1:], 2)}
+    v = g.order
+    neg, double = g.neg_table, g.double_table
+    through_zero: dict[Codes, int] = {}
+    for a in range(1, v):
+        minus = g.translation(neg[a])
+        for b in range(a + 1, v):
+            candidates = orbits._triple_candidates(neg, a, b, minus[b])
+            base = (0, *min(candidates))
+            if base not in through_zero:
+                through_zero[base] = len(set(candidates))
     special = (orbits.TRIPLE_T1, orbits.TRIPLE_T2)
-    return sum(orbits.orbit_size(g, rep) for rep in reps if orbits.classify_triple(g, rep) in special)
+    total = 0
+    for (_, a, b), n0 in through_zero.items():
+        if orbits._classify_triple(neg, double, a, b) in special:
+            size, remainder = divmod(v * n0, 3)
+            if remainder:
+                raise InternalInconsistencyError(f"orbit size identity failed for {(0, a, b)!r} in {g}")
+            total += size
+    return total
 
 
 @dataclass(frozen=True)
@@ -166,7 +192,8 @@ class Design:
 
     ``provenance[i]`` is ``"B0"`` or ``"factor:<edge-index>"`` where the edge
     index refers to the Koehler graph's deterministic edge ordering.  Blocks
-    are sorted lexicographically.
+    are sorted lexicographically.  Every block is validated when the design
+    is made, which also encodes it once for :meth:`verify`.
     """
 
     group: Group
@@ -175,12 +202,22 @@ class Design:
     provenance: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        _ = self._codes  # validate every block now, not on first use
         if len(self.blocks) != len(self.provenance):
             raise InvalidInputError("provenance must align with blocks")
+
+    @cached_property
+    def _codes(self) -> list[Codes]:
+        return _encode_blocks(self.group, self.blocks)
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
+
+    def verify(self) -> VerificationReport:
+        """Triple coverage and reversibility of the blocks, as
+        :func:`verify_design` reports them."""
+        return _design_report(self.group, self._codes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,25 +238,30 @@ def design_from_json_dict(payload: dict) -> Design:
             )
         g = make_group(factors)
         h0 = tuple(int(c) for c in payload["h0"])
+        intern = g.intern
         blocks = tuple(
-            tuple(tuple(int(c) for c in e) for e in block) for block in payload["blocks"]
+            tuple(intern(tuple(map(int, e))) for e in block) for block in payload["blocks"]
         )
         provenance = tuple(str(p) for p in payload["provenance"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed design payload: {exc}") from exc
     _validate_h0(g, h0)
-    for block in blocks:
-        _validate_block(g, block)
     return Design(group=g, h0=h0, blocks=blocks, provenance=provenance)
 
 
-def _validate_block(g: Group, block) -> Block:
-    b = tuple(block)
-    if len(b) != 4 or len(set(b)) != 4:
-        raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
-    for x in b:
-        g.validate_element(x)
-    return tuple(sorted(b))
+def _encode_blocks(g: Group, blocks) -> list[Codes]:
+    """Validate each block and return it as a sorted 4-tuple of codes."""
+    out = []
+    encode = g.encode
+    for block in blocks:
+        b = tuple(block)
+        if len(b) != 4:
+            raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
+        p, q, r, s = sorted(map(encode, b))
+        if not p < q < r < s:
+            raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
+        out.append((p, q, r, s))
+    return out
 
 
 def construct_design(g: Group, h0: Element | None = None, limit: int | None = None) -> Design:
@@ -233,34 +275,44 @@ def construct_design(g: Group, h0: Element | None = None, limit: int | None = No
     require_sqs_order(g)
     g.check_capacity(limit)
     h0 = choose_h0(g) if h0 is None else _validate_h0(g, h0)
-
-    tagged: dict[Block, str] = {}
-    for block in build_B0(g, h0):
-        tagged[block] = B0_TAG
-
     graph = kohler.build_graph(g, limit)
+    return _assemble(g, h0, graph, _one_factor(g, graph))
+
+
+def _one_factor(g: Group, graph: kohler.KohlerGraph) -> matching.Matching:
     try:
-        factor = matching.one_factor(graph.adjacency)
+        return matching.one_factor(graph.adjacency)
     except matching.NoPerfectMatching as exc:
         raise ConstructionFailure(g, exc.component, graph) from exc
+
+
+def _assemble(
+    g: Group, h0: Element, graph: kohler.KohlerGraph, factor: matching.Matching
+) -> Design:
+    """B0 plus the expansions of the 1-factor's edge orbits, verified.
+
+    B0 is built only here, once a 1-factor exists, so a failed matching
+    wastes no B0 work."""
+    encode, elements = g.encode, g.elements()
+    tagged: dict[Codes, str] = {tuple(map(encode, block)): B0_TAG for block in build_B0(g, h0)}
     for edge_idx in factor.matched_edges:
-        expansion = orbits.expand_orbit(g, graph.edges[edge_idx])
+        base = tuple(map(encode, graph.edges[edge_idx].base))
         tag = f"{FACTOR_TAG_PREFIX}{edge_idx}"
-        for block in expansion:
+        for block in orbits._expand(g, base):
             if block in tagged:
                 raise InternalInconsistencyError(
-                    f"block {block!r} produced twice ({tagged[block]} and {tag})"
+                    f"block {orbits._decoded(elements, block)!r} produced twice ({tagged[block]} and {tag})"
                 )
             tagged[block] = tag
 
-    ordered = tuple(sorted(tagged))
+    ordered = sorted(tagged)
     design = Design(
         group=g,
         h0=h0,
-        blocks=ordered,
+        blocks=tuple(orbits._decoded(elements, block) for block in ordered),
         provenance=tuple(tagged[b] for b in ordered),
     )
-    report = verify_design(g, design.blocks)
+    report = design.verify()
     if not (report.is_sqs and report.is_reversible):
         raise InternalInconsistencyError(f"constructed design for {g} failed verification")
     return design
@@ -278,19 +330,6 @@ class VerificationReport:
     triple_coverage_violations: tuple[tuple[Subset, int], ...] = ()
     asymmetric_blocks: tuple[Block, ...] = ()
     invariance_violations: tuple[tuple[Block, str], ...] = ()
-
-    def merged_with(self, other: VerificationReport) -> VerificationReport:
-        return VerificationReport(
-            is_sqs=self.is_sqs if self.is_sqs is not None else other.is_sqs,
-            is_reversible=(
-                self.is_reversible if self.is_reversible is not None else other.is_reversible
-            ),
-            triple_coverage_violations=(
-                self.triple_coverage_violations or other.triple_coverage_violations
-            ),
-            asymmetric_blocks=self.asymmetric_blocks or other.asymmetric_blocks,
-            invariance_violations=self.invariance_violations or other.invariance_violations,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -314,58 +353,97 @@ def verify_sqs(g: Group, blocks) -> VerificationReport:
     Over- and under-covered triples are reported with their counts (0 for
     missing triples).
     """
-    block_list = [_validate_block(g, b) for b in blocks]
-    counts: dict[Subset, int] = {}
-    for block in block_list:
-        for triple in combinations(block, 3):
-            counts[triple] = counts.get(triple, 0) + 1
-    violations = [(t, c) for t, c in counts.items() if c != 1]
-    total = comb(g.order, 3)
-    if len(counts) < total:
-        covered = counts.keys()
-        violations.extend(
-            (t, 0) for t in combinations(g.elements(), 3) if t not in covered
-        )
-    violations.sort()
-    return VerificationReport(
-        is_sqs=not violations,
-        triple_coverage_violations=tuple(violations),
-    )
+    violations = _coverage_violations(g, _encode_blocks(g, blocks))
+    return VerificationReport(is_sqs=not violations, triple_coverage_violations=violations)
 
 
 def verify_reversible(g: Group, blocks) -> VerificationReport:
     """Check that every block is symmetric and the block set is invariant
     under the coordinate generators and negation (hence under the whole
     translation/negation group)."""
-    block_list = [_validate_block(g, b) for b in blocks]
-    block_set = set(block_list)
-    asymmetric = tuple(
-        b for b in sorted(block_set) if not orbits.is_symmetric_block(g, b)
-    )
-    generators = []
-    for i, d in enumerate(g.factors):
-        gen = [0] * len(g.factors)
-        gen[i] = 1
-        generators.append((f"translate+{tuple(gen)}", tuple(gen)))
-    violations = []
-    for block in sorted(block_set):
-        for label, gen in generators:
-            image = tuple(sorted(g.add(x, gen) for x in block))
-            if image not in block_set:
-                violations.append((block, label))
-        image = tuple(sorted(g.neg(x) for x in block))
-        if image not in block_set:
-            violations.append((block, "negate"))
+    asymmetric, violations = _reversibility_violations(g, _encode_blocks(g, blocks))
     return VerificationReport(
         is_reversible=not asymmetric and not violations,
         asymmetric_blocks=asymmetric,
-        invariance_violations=tuple(violations),
+        invariance_violations=violations,
     )
 
 
 def verify_design(g: Group, blocks) -> VerificationReport:
     """Full verification: coverage plus reversibility."""
-    return verify_sqs(g, blocks).merged_with(verify_reversible(g, blocks))
+    return _design_report(g, _encode_blocks(g, blocks))
+
+
+def _design_report(g: Group, codes: list[Codes]) -> VerificationReport:
+    coverage = _coverage_violations(g, codes)
+    asymmetric, violations = _reversibility_violations(g, codes)
+    return VerificationReport(
+        is_sqs=not coverage,
+        is_reversible=not asymmetric and not violations,
+        triple_coverage_violations=coverage,
+        asymmetric_blocks=asymmetric,
+        invariance_violations=violations,
+    )
+
+
+def _coverage_violations(g: Group, codes: list[Codes]) -> tuple[tuple[Subset, int], ...]:
+    """Triples covered other than once, with their counts, in lex order.
+
+    A triple x < y < z of codes is packed as ``(x*v + y)*v + z``, which keeps
+    lexicographic order."""
+    v = g.order
+    packed = []
+    for p, q, r, s in codes:
+        pq, pr = (p * v + q) * v, (p * v + r) * v
+        packed += (pq + r, pq + s, pr + s, (q * v + r) * v + s)
+    total = comb(v, 3)
+    if len(packed) == total and len(set(packed)) == total:
+        return ()
+    counts = Counter(packed)
+    violations = [(t, c) for t, c in counts.items() if c != 1]
+    if len(counts) < total:
+        violations.extend((t, 0) for t in _packed_triples(v) if t not in counts)
+    violations.sort()
+    elements = g.elements()
+    return tuple(
+        ((elements[t // (v * v)], elements[t // v % v], elements[t % v]), c) for t, c in violations
+    )
+
+
+def _packed_triples(v: int):
+    """Every packed triple x < y < z < v, in increasing order."""
+    for x in range(v):
+        for y in range(x + 1, v):
+            start = (x * v + y) * v
+            yield from range(start + y + 1, start + v)
+
+
+def _reversibility_violations(
+    g: Group, codes: list[Codes]
+) -> tuple[tuple[Block, ...], tuple[tuple[Block, str], ...]]:
+    """Asymmetric blocks, and blocks whose image under a coordinate
+    generator or negation is missing, both in lex order of the distinct
+    blocks."""
+    block_set = set(codes)
+    ordered = sorted(block_set)
+    add, neg, double, elements = g.add_codes, g.neg_table, g.double_table, g.elements()
+    asymmetric = tuple(
+        orbits._decoded(elements, b) for b in ordered if not orbits._is_symmetric(add, double, b)
+    )
+    generators = []
+    for i in range(len(g.factors)):
+        gen = [0] * len(g.factors)
+        gen[i] = 1
+        generators.append((f"translate+{tuple(gen)}", g.translation(g.encode(tuple(gen)))))
+    violations = []
+    for block in ordered:
+        p, q, r, s = block
+        for label, row in generators:
+            if tuple(sorted((row[p], row[q], row[r], row[s]))) not in block_set:
+                violations.append((orbits._decoded(elements, block), label))
+        if tuple(sorted((neg[p], neg[q], neg[r], neg[s]))) not in block_set:
+            violations.append((orbits._decoded(elements, block), "negate"))
+    return asymmetric, tuple(violations)
 
 
 # -- existence -------------------------------------------------------------
@@ -402,6 +480,14 @@ def condition_iv_diagnostics(g: Group, limit: int | None = None) -> dict:
     order 2p is matched directly; primes whose graph exceeds the capacity
     limit are reported as unevaluated rather than guessed.
     """
+    return _condition_iv(g, limit, None)
+
+
+def _condition_iv(g: Group, limit: int | None, own_one_factor: bool | None) -> dict:
+    """:func:`condition_iv_diagnostics`; ``own_one_factor`` is whether g's own
+    Koehler graph has a 1-factor, when the caller has matched it already.
+    Every abelian group of order 2p is cyclic, so for v = 2p that answers the
+    check of p without building the graph again."""
     v = g.order
     diagnostics = {
         "v": v,
@@ -417,13 +503,15 @@ def condition_iv_diagnostics(g: Group, limit: int | None = None) -> dict:
         if 2 * p > cap:
             diagnostics["unevaluated_primes"].append(p)
             continue
-        cyclic = make_group([2 * p])
-        graph = kohler.build_graph(cyclic, limit)
-        try:
-            matching.one_factor(graph.adjacency)
-            has_factor = True
-        except matching.NoPerfectMatching:
-            has_factor = False
+        if 2 * p == v and own_one_factor is not None:
+            has_factor = own_one_factor
+        else:
+            graph = kohler.build_graph(make_group([2 * p]), limit)
+            try:
+                matching.one_factor(graph.adjacency)
+                has_factor = True
+            except matching.NoPerfectMatching:
+                has_factor = False
         diagnostics["prime_checks"].append(
             {"p": p, "order": 2 * p, "has_one_factor": has_factor}
         )
@@ -468,11 +556,15 @@ def existence_check(g: Group, limit: int | None = None) -> ExistenceVerdict:
         return ExistenceVerdict(verdict="no", reason=reason)
 
     sylow_cyclic = g.is_sylow2_cyclic
-    diagnostics = condition_iv_diagnostics(g, limit) if sylow_cyclic else {}
+    h0 = choose_h0(g)
+    graph = kohler.build_graph(g, limit)
     try:
-        design = construct_design(g, limit=limit)
+        factor = _one_factor(g, graph)
     except ConstructionFailure as exc:
-        witness = tuple(str(vtx) for vtx in exc.component)
+        factor, failure = None, exc
+    diagnostics = _condition_iv(g, limit, factor is not None) if sylow_cyclic else {}
+    if factor is None:
+        witness = tuple(str(vtx) for vtx in failure.component)
         if sylow_cyclic:
             return ExistenceVerdict(
                 verdict="no",
@@ -493,6 +585,7 @@ def existence_check(g: Group, limit: int | None = None) -> ExistenceVerdict:
             },
             witness_component=witness,
         )
+    design = _assemble(g, h0, graph, factor)
     return ExistenceVerdict(
         verdict="yes",
         reason={

@@ -5,6 +5,15 @@ elements are coordinate tuples ``(c1, ..., ck)`` with ``ci`` reduced mod
 ``di``.  The factor list is normalized only by sorting it ascending, so the
 caller controls the coordinate structure ([2, 2, 5] keeps three coordinates).
 
+Inside the package an element is its *code*: the mixed-radix integer
+``c1*s1 + ... + ck*sk`` with ``si = d(i+1) * ... * dk``, so the first
+coordinate is the most significant.  Codes run over ``0..v-1`` in the order
+of :meth:`Group.elements`, which makes integer order equal to lexicographic
+tuple order: sorted codes decode to sorted tuples, and the least code of a
+set is its lex-least element.  The code tables (negation, doubling, pair
+sums, one translation row at a time) are built on first use, never at import
+time, and none of them is a v x v Cayley table.
+
 All values are immutable and every operation is a pure function, so groups and
 elements can be shared freely across threads.
 """
@@ -12,6 +21,7 @@ elements can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -79,16 +89,16 @@ class Group:
     # -- element arithmetic ------------------------------------------------
 
     def add(self, x: Element, y: Element) -> Element:
-        return tuple((p + q) % d for p, q, d in zip(x, y, self.factors))
+        return tuple(map(operator.mod, map(operator.add, x, y), self.factors))
 
     def sub(self, x: Element, y: Element) -> Element:
-        return tuple((p - q) % d for p, q, d in zip(x, y, self.factors))
+        return tuple(map(operator.mod, map(operator.sub, x, y), self.factors))
 
     def neg(self, x: Element) -> Element:
-        return tuple((-p) % d for p, d in zip(x, self.factors))
+        return tuple(map(operator.mod, map(operator.neg, x), self.factors))
 
     def double(self, x: Element) -> Element:
-        return tuple((2 * p) % d for p, d in zip(x, self.factors))
+        return tuple(map(operator.mod, map(operator.add, x, x), self.factors))
 
     def contains(self, x: object) -> bool:
         return (
@@ -101,6 +111,98 @@ class Group:
         if not self.contains(x):
             raise InvalidInputError(f"{x!r} is not an element of {self}")
         return x  # type: ignore[return-value]
+
+    # -- integer codes -----------------------------------------------------
+
+    def encode(self, x: object) -> int:
+        """The code of element ``x``; raises InvalidInputError for a non-element."""
+        try:
+            code = self._index.get(x)
+        except TypeError:  # unhashable, so not a tuple of ints
+            code = None
+        # an equal tuple of non-ints, such as (1.0,), hits the index too
+        if code is None or (x is not self._element_tuple[code] and not self.contains(x)):
+            raise InvalidInputError(f"{x!r} is not an element of {self}")
+        return code
+
+    def intern(self, x: Element) -> Element:
+        """The element tuple equal to ``x``, one object shared by every
+        caller, or ``x`` itself when no element equals it.  Equality is ``==``,
+        so ``(1.0,)`` finds ``(1,)``: intern tuples of ints, and validate with
+        :meth:`encode`."""
+        code = self._index.get(x)
+        return x if code is None else self._element_tuple[code]
+
+    def decode(self, code: int) -> Element:
+        """The element with code ``code``; the same tuple object on every call."""
+        if not isinstance(code, int) or not 0 <= code < self.order:
+            raise InvalidInputError(f"{code!r} is not an element code of {self}")
+        return self.elements()[code]
+
+    # Every code table has v entries or more, so building one honours the
+    # capacity limit like any other enumeration.
+
+    @cached_property
+    def _index(self) -> dict[Element, int]:
+        return {x: code for code, x in enumerate(self.elements())}
+
+    @cached_property
+    def _strides(self) -> tuple[int, ...]:
+        return tuple(math.prod(self.factors[i + 1 :]) for i in range(len(self.factors)))
+
+    def _scaled(self, n: int) -> tuple[int, ...]:
+        """The table ``code -> code`` of ``x -> n * x``, coordinate by coordinate."""
+        self.check_capacity()
+        return tuple(
+            _mixed_radix_table([[n * c % d * s for c in range(d)] for d, s in zip(self.factors, self._strides)])
+        )
+
+    @cached_property
+    def neg_table(self) -> tuple[int, ...]:
+        """``neg_table[x]`` is the code of ``-x``."""
+        return self._scaled(-1)
+
+    @cached_property
+    def double_table(self) -> tuple[int, ...]:
+        """``double_table[x]`` is the code of ``2x``."""
+        return self._scaled(2)
+
+    def translation(self, a: int) -> list[int]:
+        """The row ``x -> x + a`` over all codes x, for the code ``a``; O(v)."""
+        fold, shift = self._fold, self._spread[a]
+        return [fold[shift + s] for s in self._spread]
+
+    def add_codes(self, x: int, y: int) -> int:
+        """The code of ``x + y``."""
+        return self._fold[self._spread[x] + self._spread[y]]
+
+    def sub_codes(self, x: int, y: int) -> int:
+        """The code of ``x - y``."""
+        return self._fold[self._spread[x] + self._spread[self.neg_table[y]]]
+
+    # Pair sums without a Cayley table: ``_spread`` rewrites a code in the
+    # radix (2*d1 - 1, ..., 2*dk - 1), where adding two spread codes never
+    # carries, and ``_fold`` reduces such a sum back to a code.  ``_fold`` has
+    # (2*d1 - 1) * ... * (2*dk - 1) < 2^k * v entries: 2v - 1 for a cyclic group.
+
+    @cached_property
+    def _spread(self) -> tuple[int, ...]:
+        self.check_capacity()
+        radices = [2 * d - 1 for d in self.factors]
+        return tuple(
+            _mixed_radix_table(
+                [[c * math.prod(radices[i + 1 :]) for c in range(d)] for i, d in enumerate(self.factors)]
+            )
+        )
+
+    @cached_property
+    def _fold(self) -> tuple[int, ...]:
+        self.check_capacity()
+        return tuple(
+            _mixed_radix_table(
+                [[c % d * s for c in range(2 * d - 1)] for d, s in zip(self.factors, self._strides)]
+            )
+        )
 
     # -- enumeration and derived subsets ------------------------------------
 
@@ -141,6 +243,15 @@ class Group:
 
     def __str__(self) -> str:
         return "Z" + "xZ".join(str(d) for d in self.factors)
+
+
+def _mixed_radix_table(columns: list[list[int]]) -> list[int]:
+    """Entry i is the sum over j of ``columns[j][i_j]``, where ``i_j`` are the
+    digits of i in the mixed radix of the column lengths, first most significant."""
+    table = columns[-1]
+    for column in reversed(columns[:-1]):
+        table = [high + low for high in column for low in table]
+    return table
 
 
 def make_group(factors: list[int] | tuple[int, ...]) -> Group:

@@ -6,7 +6,10 @@ the family E; the orbit of {0, a, b, a+b} joins the orbits of {0, a, b} and
 the only possible neighbours of [a, b] are [a, a+b], [b, a-b] and [a, b-a].
 
 Construction scans all unordered pairs of nonzero elements, canonicalizes,
-and deduplicates, so it costs O(v^2) orbit insertions.  Vertex and edge
+and deduplicates, so it costs O(v^2) orbit insertions.  It runs on element
+codes: for each a, the translation rows of a and -a give a+b and b-a for
+every b, and every difference within {0, a, b, a+b} is one of +-a, +-b,
++-(b-a), +-(a+b), so no other arithmetic is needed.  Vertex and edge
 indices are assigned by sorting canonical bases lexicographically, which
 makes every downstream artifact (matchings, designs, JSON exports)
 reproducible run to run.
@@ -21,12 +24,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import InvalidInputError
 from .groups import Group
 from .matching import components
-from .orbits import OrbitRep, Subset, canonicalize, in_E, in_T
+from .orbits import Codes, OrbitRep, _canonical_edge, _canonical_triple, _decoded, _in_E, _in_T
 
 
 @dataclass(frozen=True)
@@ -46,70 +48,61 @@ class KohlerGraph:
 def build_graph(g: Group, limit: int | None = None) -> KohlerGraph:
     """Build the Koehler graph of ``g`` with deterministic indexing."""
     g.check_capacity(limit)
-    nonzero = g.elements()[1:]
-    zero = g.zero
+    v = g.order
+    neg, double = g.neg_table, g.double_table
 
-    vertex_bases: set[Subset] = set()
-    edge_bases: set[Subset] = set()
-    for a, b in combinations(nonzero, 2):
-        if in_T(g, a, b):
-            vertex_bases.add(canonicalize(g, (zero, a, b)).base)
-        s = g.add(a, b)
-        if s != zero and s != a and s != b and in_E(g, a, b):
-            edge_bases.add(canonicalize(g, (zero, a, b, s)).base)
+    vertex_bases: set[Codes] = set()
+    #: edge base -> the bases of its two endpoints
+    edge_ends: dict[Codes, tuple[Codes, Codes]] = {}
+    for a in range(1, v):
+        plus, minus = g.translation(a), g.translation(neg[a])
+        for b in range(a + 1, v):
+            ba = minus[b]
+            if _in_T(neg, double, a, b):
+                vertex_bases.add(_canonical_triple(neg, a, b, ba))
+            s = plus[b]
+            if s != 0 and s != a and s != b and _in_E(neg, double, a, b):
+                base = _canonical_edge(neg, a, b, s, ba)
+                if base not in edge_ends:
+                    # the triples of {0, a, b, a+b} lie in the orbits [a, b] and
+                    # [a, a+b] (the decomposition is unique up to swapping a
+                    # and b), and so do those of every member of its orbit
+                    edge_ends[base] = (_canonical_triple(neg, a, b, ba), _canonical_triple(neg, a, s, b))
 
-    vertices = tuple(OrbitRep(g, base) for base in sorted(vertex_bases))
-    index = {rep.base: i for i, rep in enumerate(vertices)}
-    edges = tuple(OrbitRep(g, base) for base in sorted(edge_bases))
+    elements = g.elements()
+    vertex_order = sorted(vertex_bases)
+    index = {base: i for i, base in enumerate(vertex_order)}
+    edge_order = sorted(edge_ends)
 
     endpoints = []
-    seen_pairs: dict[tuple[int, int], Subset] = {}
-    for rep in edges:
-        i, j = _edge_endpoints(g, rep.base, index)
+    seen_pairs: dict[tuple[int, int], Codes] = {}
+    for base in edge_order:
+        u, w = edge_ends[base]
+        if u not in index or w not in index:
+            raise InvalidInputError(f"edge {_decoded(elements, base)!r} has an endpoint outside T")
+        iu, iw = index[u], index[w]
+        if iu == iw:
+            raise InvalidInputError(f"edge {_decoded(elements, base)!r} joins a vertex to itself")
+        i, j = (iu, iw) if iu < iw else (iw, iu)
         if (i, j) in seen_pairs:
             raise InvalidInputError(
                 f"multiple edges between vertices {i} and {j}: "
-                f"{seen_pairs[(i, j)]!r} and {rep.base!r}"
+                f"{_decoded(elements, seen_pairs[(i, j)])!r} and {_decoded(elements, base)!r}"
             )
-        seen_pairs[(i, j)] = rep.base
+        seen_pairs[(i, j)] = base
         endpoints.append((i, j))
 
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in vertices]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in vertex_order]
     for e, (i, j) in enumerate(endpoints):
         adjacency[i].append((e, j))
         adjacency[j].append((e, i))
     return KohlerGraph(
         group=g,
-        vertices=vertices,
-        edges=edges,
+        vertices=tuple(OrbitRep(g, _decoded(elements, base)) for base in vertex_order),
+        edges=tuple(OrbitRep(g, _decoded(elements, base)) for base in edge_order),
         endpoints=tuple(endpoints),
         adjacency=tuple(tuple(sorted(row, key=lambda t: t[1])) for row in adjacency),
     )
-
-
-def _edge_endpoints(g: Group, base: Subset, vertex_index: dict[Subset, int]) -> tuple[int, int]:
-    """Endpoint vertex indices of an edge orbit.
-
-    The base is some {0, a, b, a+b}; the endpoints are the orbits of
-    {0, a, b} and {0, a, a+b}.  The decomposition of an edge base into
-    (a, b, a+b) is unique up to swapping a and b, so the result is
-    well-defined.
-    """
-    zero = g.zero
-    rest = base[1:]
-    for i, p in enumerate(rest):
-        for q in rest[i + 1 :]:
-            s = g.add(p, q)
-            if s in rest:
-                u = canonicalize(g, (zero, p, q)).base
-                w = canonicalize(g, (zero, p, s)).base
-                if u not in vertex_index or w not in vertex_index:
-                    raise InvalidInputError(f"edge {base!r} has an endpoint outside T")
-                iu, iw = vertex_index[u], vertex_index[w]
-                if iu == iw:
-                    raise InvalidInputError(f"edge {base!r} joins a vertex to itself")
-                return (iu, iw) if iu < iw else (iw, iu)
-    raise InvalidInputError(f"edge base {base!r} admits no sum decomposition")
 
 
 def graph_stats(graph: KohlerGraph) -> dict:

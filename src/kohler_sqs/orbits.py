@@ -15,6 +15,11 @@ of interest are the edge family E (orbits of {0, a, b, a+b} with
 0 not in {2a, 2b} and {+-a, +-2a} disjoint from {+-b, +-2b}) and the forced
 families Q1 = [a, -a, h0], Q2 = [a, h, h+a], Q3 = [h, h', h+h'] from which
 the base block set of the construction is assembled.
+
+Every function here works on element codes (see :mod:`kohler_sqs.groups`);
+the public ones take and return coordinate tuples and convert at the
+boundary.  Codes keep lexicographic order, so a canonical base is the least
+sorted code tuple among the candidates, exactly as it is among tuples.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from .errors import InvalidInputError
 from .groups import Element, Group
 
 Subset = tuple[Element, ...]
+#: a subset as element codes
+Codes = tuple[int, ...]
 
 # Triple classification tags.
 TRIPLE_T = "T"
@@ -52,48 +59,95 @@ class OrbitRep:
         return "[" + ", ".join(str(x) for x in self.base[1:]) + "]"
 
 
-def _validated_points(g: Group, points) -> Subset:
+
+def _validated_points(g: Group, points) -> Codes:
     pts = tuple(points)
     if len(pts) not in (3, 4):
         raise InvalidInputError(f"orbit subsets must have 3 or 4 elements, got {len(pts)}")
-    if len(set(pts)) != len(pts):
+    codes = tuple(g.encode(p) for p in pts)
+    if len(set(codes)) != len(codes):
         raise InvalidInputError(f"subset elements must be distinct: {pts!r}")
-    for p in pts:
-        g.validate_element(p)
-    return pts
+    return codes
 
 
-def _through_zero_candidates(g: Group, pts: Subset) -> list[Subset]:
-    neg_pts = tuple(g.neg(p) for p in pts)
+def _decoded(elements: tuple[Element, ...], codes) -> Subset:
+    """The subset of ``codes`` as tuples, where ``elements`` is ``g.elements()``."""
+    return tuple(map(elements.__getitem__, codes))
+
+
+def _through_zero_candidates(g: Group, pts: Codes) -> list[Codes]:
+    """The orbit members through 0: ``X - x`` and ``-X + x`` for x in X,
+    each sorted.  ``(-p) - (-x)`` is ``-(p - x)``, so one difference row per
+    x gives both."""
+    sub, neg = g.sub_codes, g.neg_table
     out = []
     for x in pts:
-        out.append(tuple(sorted(g.sub(p, x) for p in pts)))
-    for x in neg_pts:
-        out.append(tuple(sorted(g.sub(np, x) for np in neg_pts)))
+        row = [sub(p, x) for p in pts]
+        out.append(tuple(sorted(row)))
+        out.append(tuple(sorted(neg[d] for d in row)))
     return out
+
+
+def _canonical(g: Group, pts: Codes) -> Codes:
+    return min(_through_zero_candidates(g, pts))
+
+
+def _triple_candidates(neg, a: int, b: int, ba: int) -> list[tuple[int, int]]:
+    """The nonzero parts of the through-0 members of the orbit of {0, a, b},
+    given ``ba = b - a``: {a, b}, {-a, -b}, {-a, b-a}, {a, a-b}, {-b, a-b}
+    and {b, b-a}, each sorted."""
+    na, nb, nba = neg[a], neg[b], neg[ba]
+    pairs = ((a, b), (na, nb), (na, ba), (a, nba), (nb, nba), (b, ba))
+    return [(x, y) if x < y else (y, x) for x, y in pairs]
+
+
+def _canonical_triple(neg, a: int, b: int, ba: int) -> Codes:
+    """Canonical base of the orbit of {0, a, b}, given ``ba = b - a``."""
+    return (0, *min(_triple_candidates(neg, a, b, ba)))
+
+
+def _canonical_edge(neg, a: int, b: int, s: int, ba: int) -> Codes:
+    """Canonical base of the orbit of {0, a, b, s} with ``s = a + b``, given
+    ``ba = b - a``.  Its differences all lie in +-a, +-b, +-(b-a) and +-s;
+    the members through 0 are ``X - x`` and ``-X + x`` for x in {0, a, b},
+    since x = s repeats x = 0 with the sides swapped."""
+    na, nb, nba = neg[a], neg[b], neg[ba]
+    return (
+        0,
+        *min(
+            tuple(sorted(m))
+            for m in ((a, b, s), (na, nb, neg[s]), (na, ba, b), (a, nba, nb), (nb, nba, a), (b, ba, na))
+        ),
+    )
 
 
 def canonicalize(g: Group, points) -> OrbitRep:
     """Canonical representative of the orbit of a 3- or 4-subset."""
-    pts = _validated_points(g, points)
-    return OrbitRep(g, min(_through_zero_candidates(g, pts)))
+    return OrbitRep(g, _decoded(g.elements(), _canonical(g, _validated_points(g, points))))
 
 
-def _checked_base(g: Group, rep: OrbitRep) -> Subset:
+def _checked_base(g: Group, rep: OrbitRep) -> Codes:
     if rep.group != g:
         raise InvalidInputError(f"{rep} belongs to {rep.group}, not {g}")
     return _validated_points(g, rep.base)
 
 
+def _expand(g: Group, base: Codes) -> set[Codes]:
+    """Every member of the orbit of ``base``, as sorted code tuples: one
+    translation row per point of ``base`` and of ``-base``."""
+    neg = g.neg_table
+    plus = [g.translation(p) for p in base]
+    minus = [g.translation(neg[p]) for p in base]
+    out = {tuple(sorted(member)) for member in zip(*plus)}
+    out.update(tuple(sorted(member)) for member in zip(*minus))
+    return out
+
+
 def expand_orbit(g: Group, rep: OrbitRep) -> set[Subset]:
     """Every subset in the orbit, as sorted tuples."""
-    base = _checked_base(g, rep)
-    neg_base = tuple(g.neg(p) for p in base)
-    out: set[Subset] = set()
-    for a in g.elements():
-        out.add(tuple(sorted(g.add(p, a) for p in base)))
-        out.add(tuple(sorted(g.add(p, a) for p in neg_base)))
-    return out
+    members = _expand(g, _checked_base(g, rep))
+    elements = g.elements()
+    return {_decoded(elements, member) for member in members}
 
 
 def orbit_size(g: Group, rep: OrbitRep) -> int:
@@ -106,8 +160,24 @@ def orbit_size(g: Group, rep: OrbitRep) -> int:
     n0 = len(set(_through_zero_candidates(g, base)))
     size, remainder = divmod(g.order * n0, len(base))
     if remainder:
-        raise InvalidInputError(f"orbit size identity failed for {base!r}")
+        raise InvalidInputError(f"orbit size identity failed for {rep.base!r}")
     return size
+
+
+def _in_T(neg, double, a: int, b: int) -> bool:
+    if a == neg[b]:
+        return False
+    ta, tb = double[a], double[b]
+    return not (ta == 0 or ta == b or ta == tb or tb == 0 or tb == a)
+
+
+def _in_E(neg, double, a: int, b: int) -> bool:
+    ta, tb = double[a], double[b]
+    if ta == 0 or tb == 0:
+        return False
+    # {+-a, +-2a} is closed under negation, so testing b and 2b covers -b and -2b
+    left = (a, neg[a], ta, neg[ta])
+    return b not in left and tb not in left
 
 
 def in_T(g: Group, a: Element, b: Element) -> bool:
@@ -116,17 +186,10 @@ def in_T(g: Group, a: Element, b: Element) -> bool:
     Tests a != +-b, 2a not in {0, b, 2b} and 2b not in {0, a, 2a}; the answer
     is independent of which through-0 pair of the orbit is supplied.
     """
-    zero = g.zero
-    if a == zero or b == zero or a == b:
+    x, y = g.encode(a), g.encode(b)
+    if x == 0 or y == 0 or x == y:
         raise InvalidInputError("in_T needs two distinct nonzero elements")
-    if a == g.neg(b):
-        return False
-    ta, tb = g.double(a), g.double(b)
-    if ta == zero or ta == b or ta == tb:
-        return False
-    if tb == zero or tb == a:
-        return False
-    return True
+    return _in_T(g.neg_table, g.double_table, x, y)
 
 
 def in_E(g: Group, a: Element, b: Element) -> bool:
@@ -135,16 +198,19 @@ def in_E(g: Group, a: Element, b: Element) -> bool:
     Tests 0 not in {2a, 2b} and {+-a, +-2a} disjoint from {+-b, +-2b};
     orbit-invariant for the same reason as :func:`in_T`.
     """
-    zero = g.zero
-    s = g.add(a, b)
-    if a == zero or b == zero or a == b or s == zero:
+    x, y = g.encode(a), g.encode(b)
+    if x == 0 or y == 0 or x == y or g.add_codes(x, y) == 0:
         raise InvalidInputError("in_E needs {0, a, b, a+b} to have four distinct elements")
-    ta, tb = g.double(a), g.double(b)
-    if ta == zero or tb == zero:
-        return False
-    left = {a, g.neg(a), ta, g.neg(ta)}
-    right = {b, g.neg(b), tb, g.neg(tb)}
-    return not (left & right)
+    return _in_E(g.neg_table, g.double_table, x, y)
+
+
+def _classify_triple(neg, double, a: int, b: int) -> str:
+    ta, tb = double[a], double[b]
+    if b == neg[a] or a == tb or ta == b:
+        return TRIPLE_T1
+    if ta == 0 or tb == 0 or ta == tb:
+        return TRIPLE_T2
+    return TRIPLE_T
 
 
 def classify_triple(g: Group, rep: OrbitRep) -> str:
@@ -158,24 +224,28 @@ def classify_triple(g: Group, rep: OrbitRep) -> str:
     if len(base) != 3:
         raise InvalidInputError("classify_triple needs a triple orbit")
     _, a, b = base
-    if b == g.neg(a) or a == g.double(b) or g.double(a) == b:
-        return TRIPLE_T1
-    zero = g.zero
-    ta, tb = g.double(a), g.double(b)
-    if ta == zero or tb == zero or ta == tb:
-        return TRIPLE_T2
-    return TRIPLE_T
+    return _classify_triple(g.neg_table, g.double_table, a, b)
+
+
+def _is_symmetric(add, double, block: Codes) -> bool:
+    """Is B = -B + x for some x, for a block of four codes?
+
+    y -> x - y is then an involution of B: its 2-cycles {y, z} have y + z = x and
+    its fixed points have 2y = x.  So either two pairs of B have equal sums,
+    or one pair sums to the equal doubles of the other two, or all four
+    doubles are equal.
+    """
+    p, q, r, s = block
+    for (w, x), (y, z) in (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r))):
+        first, second = add(w, x), add(y, z)
+        if first == second or double[y] == double[z] == first or double[w] == double[x] == second:
+            return True
+    return double[p] == double[q] == double[r] == double[s]
 
 
 def is_symmetric_block(g: Group, block) -> bool:
-    """Is B = -B + x for some x?  Any such x must be b0 + b for b in B."""
+    """Is B = -B + x for some x?"""
     pts = _validated_points(g, block)
     if len(pts) != 4:
         raise InvalidInputError("is_symmetric_block needs a 4-element block")
-    negated = {g.neg(p) for p in pts}
-    members = set(pts)
-    for b in pts:
-        x = g.add(pts[0], b)
-        if {g.add(q, x) for q in negated} == members:
-            return True
-    return False
+    return _is_symmetric(g.add_codes, g.double_table, pts)

@@ -2,10 +2,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
-from kohler_sqs import cli
+from kohler_sqs import cli, engine
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -25,6 +26,13 @@ PINNED_STDOUT = {
     "graph --export --group 2,2,5": (0, "edd9ccf36498649e728ecca9de9aef8ae7c6983960a242607664ff90498820e9"),
     "graph --stats --group 28": (0, "767d84d9ce194a1115c73a286d28f1da2b60e769e7ae76f0845879569a070cfd"),
     "count --group 2,2,2,2": (0, "c140ff58fea10e8b2b20edae0d03ffaab11467029333ba53647df207f8958295"),
+    # B0 only (empty Koehler graph), a mixed 2-power radix, and Z_2p, whose
+    # own graph also answers the per-prime check
+    "construct --group 2,2,2,2": (0, "cde55b74347ec1118c97e58a10a2562f75efebb7ef19b6351c91790f50ed950f"),
+    "construct --group 2,4": (0, "26f733fb7cdfe24294eb0e33b2882dd103ad078d3e4aa2749abd6aef3a8b0030"),
+    "exists --group 10": (0, "2ad5d1a37efcd5625a6b00fbf4db33064f45c19b4f73fa41f9c2980aebade09c"),
+    "exists --group 22": (2, "cdb1acf67e99f4b75055dd705d1f755df0326c536504e4a4633b4bf4a38bab2c"),
+    "exists --group 2,5,5": (0, "1501a836fc68d40af286fa061d260e932b986ef8416ee96de5fe184c92a680d8"),
 }
 
 
@@ -34,6 +42,71 @@ def test_stdout_bytes_are_pinned(capsys, argv):
     got_code, out, _ = run_cli(capsys, *argv.split())
     assert got_code == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# exit code and stdout sha256 of ``verify`` on a construction, unmodified or
+# mutated; the values are those of the tuple-based 0.1.0 verifier
+VERIFY_OK = (0, "0e27aea6b7608af51b4967c7b31207daf07490299b5ac9b49826ee5ebe0b49a6")
+PINNED_VERIFY = {
+    ("2,2,5", "none"): VERIFY_OK,
+    ("2,2,5", "drop"): (3, "97fef9d3a76348823da4f700caf2b842ec49aba7e669a6ca6c783280cec5eb43"),
+    ("2,2,5", "dup"): (3, "8fd4e4a0de6b14baf12f1c86670682423929c84dbbfd8e889aaa15038e46955a"),
+    ("2,2,5", "move"): (3, "ee6f928879e3aadaabf9a6204cde19b7abb6e21d639810de50d5942b6aebf233"),
+    ("4,4", "none"): VERIFY_OK,
+    ("4,4", "drop"): (3, "bcc54ae56e18561992b6725fcec81bb5df4a99283ce6c082231db4d0b44bc697"),
+    ("4,4", "dup"): (3, "3821e2a644d823c255de56fd5deed3c4a14a096a68cca0c6e03c98f5058d8e61"),
+    ("4,4", "move"): (3, "938f9a81f89239e39229ed22f51db24cb9b83d73af2e3f41c2713840985dfa82"),
+    ("50", "none"): VERIFY_OK,
+    ("50", "drop"): (3, "69f8fc534099ff7b6dc37f6748580f8419935ec1a36e46dfaf071e8a6ee741e7"),
+    ("50", "dup"): (3, "670f428399a6dccfb56d4425d3cfe16754a7bc01dd54f5af12f366404027b4d7"),
+    ("50", "move"): (3, "ebfcdc6be853df9054baea75f2260cabc5db2c5561ea0c6ccebec112e9e590ab"),
+}
+
+
+def _mutated(payload: dict, mutation: str) -> dict:
+    blocks, provenance = payload["blocks"], payload["provenance"]
+    if mutation == "drop":
+        del blocks[0], provenance[0]
+    elif mutation == "dup":
+        blocks.append(blocks[0])
+        provenance.append(provenance[0])
+    elif mutation == "move":
+        block = blocks[5]
+        block[3] = next(list(x) for x in product(*(range(d) for d in payload["group"])) if list(x) not in block)
+        block.sort()
+    return payload
+
+
+@pytest.mark.parametrize("spec,mutation", list(PINNED_VERIFY))
+def test_verify_reports_are_pinned(tmp_path, capsys, spec, mutation):
+    code, out, _ = run_cli(capsys, "construct", "--group", spec)
+    assert code == 0
+    design_path = tmp_path / "design.json"
+    if mutation == "none":
+        design_path.write_text(out)
+    else:
+        design_path.write_text(json.dumps(_mutated(json.loads(out), mutation)))
+    expected_code, digest = PINNED_VERIFY[(spec, mutation)]
+    code, out, _ = run_cli(capsys, "verify", str(design_path))
+    assert code == expected_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_verify_validates_each_block_once(tmp_path, capsys, monkeypatch):
+    design_path = tmp_path / "design.json"
+    run_cli(capsys, "construct", "--group", "10", "--out", str(design_path))
+    validated = []
+    original = engine._encode_blocks
+
+    def counted(g, blocks):
+        codes = original(g, blocks)
+        validated.extend(codes)
+        return codes
+
+    monkeypatch.setattr(engine, "_encode_blocks", counted)
+    code, _, _ = run_cli(capsys, "verify", str(design_path))
+    assert code == 0
+    assert len(validated) == 30
 
 
 def test_construct_success(capsys):

@@ -5,6 +5,8 @@ import pytest
 
 from kohler_sqs import (
     ConstructionFailure,
+    engine,
+    kohler,
     InvalidInputError,
     InvalidOrderError,
     NoInvolutionError,
@@ -232,6 +234,9 @@ def test_design_json_round_trip():
     unsorted = dict(payload, group=[5, 2, 2])
     with pytest.raises(InvalidInputError):
         design_from_json_dict(unsorted)
+    infinite = dict(payload, blocks=[[[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, float("inf")]]])
+    with pytest.raises(InvalidInputError):
+        design_from_json_dict(infinite)
 
 
 def test_determinism_of_construction():
@@ -281,6 +286,43 @@ def test_condition_iv_diagnostics():
     checks = {entry["p"]: entry["has_one_factor"] for entry in diag["prime_checks"]}
     # Z10's graph is a single matchable edge; Z14's has seven vertices (odd)
     assert checks == {5: True, 7: False}
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_b0_is_built_only_once_a_one_factor_exists(monkeypatch):
+    calls = _count_calls(monkeypatch, engine, "build_B0")
+    for factors in ([14], [22]):
+        with pytest.raises(ConstructionFailure):
+            construct_design(make_group(factors))
+        assert existence_check(make_group(factors)).verdict == "no"
+    assert calls == []
+    construct_design(Z10)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("factors", [[22], [2, 11]])
+def test_existence_check_builds_one_graph_for_order_2p(monkeypatch, factors):
+    # every abelian group of order 2p is cyclic, so the group's own matching
+    # answers the per-prime check of p
+    g = make_group(factors)
+    expected = condition_iv_diagnostics(g)
+    calls = _count_calls(monkeypatch, kohler, "build_graph")
+    verdict = existence_check(g)
+    assert [args[0] for args in calls] == [g]
+    assert verdict.verdict == "no"
+    assert verdict.diagnostics == expected
+    assert expected["prime_checks"] == [{"p": 11, "order": 22, "has_one_factor": False}]
 
 
 def test_diagnostics_respect_capacity():

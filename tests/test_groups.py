@@ -1,11 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from kohler_sqs import (
     CapacityError,
     Group,
+    InvalidInputError,
     InvalidSpecError,
+    canonicalize,
     make_group,
     parse_group_spec,
 )
@@ -18,6 +21,7 @@ from util import (
     invariant_factors,
     scale,
     subgroup_generated,
+    through_zero_sets,
 )
 
 
@@ -170,3 +174,45 @@ def test_element_order_divides_exponent():
     for g in abelian_groups_up_to(20):
         for x in g.elements():
             assert exponent(g) % element_order(g, x) == 0
+
+
+def test_codes_agree_with_tuple_arithmetic():
+    # the code tables against the tuple methods, and canonicalization on codes
+    # against the lex-least through-0 member found with tuples
+    for g in abelian_groups_up_to(64):
+        v, elements = g.order, g.elements()
+        assert [g.encode(x) for x in sorted(elements)] == list(range(v))
+        assert [g.decode(g.encode(x)) for x in elements] == list(elements)
+        assert [elements[c] for c in g.neg_table] == [g.neg(x) for x in elements]
+        assert [elements[c] for c in g.double_table] == [g.double(x) for x in elements]
+        for a, y in enumerate(elements):
+            assert [elements[c] for c in g.translation(a)] == [g.add(x, y) for x in elements]
+            for b, z in enumerate(elements):
+                assert elements[g.add_codes(a, b)] == g.add(y, z)
+                assert elements[g.sub_codes(a, b)] == g.sub(y, z)
+        for a, b in combinations(elements[1:], 2):
+            triple = (g.zero, a, b)
+            assert canonicalize(g, triple).base == min(through_zero_sets(g, triple)), (g.factors, triple)
+
+
+def test_encode_rejects_non_elements():
+    g = make_group([2, 5])
+    assert g.encode((1, 4)) == 9
+    assert g.decode(9) == (1, 4)
+    for bad in [(1, 5), (1,), (1.0, 4), [1, 4], ([1], 4), "14"]:
+        with pytest.raises(InvalidInputError):
+            g.encode(bad)
+    for bad in [-1, 10, 1.0]:
+        with pytest.raises(InvalidInputError):
+            g.decode(bad)
+
+
+def test_code_tables_honour_capacity(monkeypatch):
+    g = make_group([101, 101])
+    with pytest.raises(CapacityError):
+        g.encode((0, 0))
+    with pytest.raises(CapacityError):
+        g.neg_table
+    monkeypatch.setenv(MAX_ORDER_ENV_VAR, "11000")
+    assert g.encode((100, 100)) == 10200
+    assert g.neg_table[1] == 100

@@ -91,17 +91,17 @@ def _b0_bases(g: Group, h0: Element) -> dict[Codes, str]:
     """Canonical bases of the forced orbits as codes, tagged Q1/Q2/Q3."""
     require_sqs_order(g)
     _validate_h0(g, h0)
-    h0 = g.encode(h0)
+    h0_code = g.encode(h0)
     neg, double = g.neg_table, g.double_table
     involutions = [h for h in range(1, g.order) if double[h] == 0]
     outside = [a for a in range(g.order) if double[a] != 0]
     bases: dict[Codes, str] = {}
     for a in outside:
-        bases.setdefault(orbits._canonical(g, (0, a, neg[a], h0)), orbits.QUAD_Q1)
+        bases.setdefault(orbits._canonical(g, (0, a, neg[a], h0_code)), orbits.QUAD_Q1)
     # Q2 and Q3 blocks have the shape {0, a, b, a+b}, with b - a = h - a and
     # b - a = h' + h (an involution is its own negative)
     for h in involutions:
-        if h == h0:
+        if h == h0_code:
             continue
         plus = g.translation(h)
         for a in outside:
@@ -556,7 +556,6 @@ def existence_check(g: Group, limit: int | None = None) -> ExistenceVerdict:
         return ExistenceVerdict(verdict="no", reason=reason)
 
     sylow_cyclic = g.is_sylow2_cyclic
-    h0 = choose_h0(g)
     graph = kohler.build_graph(g, limit)
     try:
         factor = _one_factor(g, graph)
@@ -585,7 +584,7 @@ def existence_check(g: Group, limit: int | None = None) -> ExistenceVerdict:
             },
             witness_component=witness,
         )
-    design = _assemble(g, h0, graph, factor)
+    design = _assemble(g, choose_h0(g), graph, factor)
     return ExistenceVerdict(
         verdict="yes",
         reason={

@@ -169,8 +169,12 @@ class Group:
 
     def translation(self, a: int) -> list[int]:
         """The row ``x -> x + a`` over all codes x, for the code ``a``; O(v)."""
+        if not 0 <= a < self.order:
+            raise InvalidInputError(f"{a!r} is not an element code of {self}")
         fold, shift = self._fold, self._spread[a]
         return [fold[shift + s] for s in self._spread]
+
+    # add_codes and sub_codes sit on hot paths and leave their codes unchecked
 
     def add_codes(self, x: int, y: int) -> int:
         """The code of ``x + y``."""

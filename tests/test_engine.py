@@ -5,13 +5,12 @@ import pytest
 
 from kohler_sqs import (
     ConstructionFailure,
-    engine,
-    kohler,
     InvalidInputError,
     InvalidOrderError,
     NoInvolutionError,
     make_group,
 )
+from kohler_sqs import engine, kohler
 from kohler_sqs.engine import (
     B0_TAG,
     Design,

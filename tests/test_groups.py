@@ -205,6 +205,9 @@ def test_encode_rejects_non_elements():
     for bad in [-1, 10, 1.0]:
         with pytest.raises(InvalidInputError):
             g.decode(bad)
+    for bad in [-1, 10]:
+        with pytest.raises(InvalidInputError):
+            g.translation(bad)
 
 
 def test_code_tables_honour_capacity(monkeypatch):

@@ -294,6 +294,8 @@ def _assemble(
     B0 is built only here, once a 1-factor exists, so a failed matching
     wastes no B0 work."""
     encode, elements = g.encode, g.elements()
+    # B0 comes from the public build_B0, one stage a tracer can wrap, so its
+    # tuple blocks are encoded back here
     tagged: dict[Codes, str] = {tuple(map(encode, block)): B0_TAG for block in build_B0(g, h0)}
     for edge_idx in factor.matched_edges:
         base = tuple(map(encode, graph.edges[edge_idx].base))

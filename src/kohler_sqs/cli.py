@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from . import engine, kohler, matching
+from . import engine, kohler
 from .engine import ConstructionFailure
 from .errors import InvalidInputError, KohlerSqsError
 from .groups import Element, Group, parse_group_spec
@@ -31,8 +31,9 @@ EXIT_VERIFY_FAILED = 3
 EXIT_UNKNOWN = 4
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+def _emit(payload: dict, fh=None) -> None:
+    """One line of compact, key-sorted JSON to ``fh``, stdout by default."""
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=fh)
 
 
 def _note(message: str) -> None:
@@ -64,8 +65,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     payload = design.to_json_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            _emit(payload, fh)
         _note(f"wrote {design.block_count} blocks to {args.out}")
     else:
         _emit(payload)
@@ -171,10 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (KohlerSqsError, matching.NoPerfectMatching) as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (KohlerSqsError, OSError, json.JSONDecodeError) as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
 

@@ -123,11 +123,16 @@ def b0_orbit_reps(g: Group, h0: Element) -> dict[OrbitRep, str]:
 
 def build_B0(g: Group, h0: Element) -> frozenset[Block]:
     """The forced block set B0 (union of the expanded Q1, Q2, Q3 orbits)."""
+    elements = g.elements()
+    return frozenset(orbits._decoded(elements, block) for block in _b0_codes(g, h0))
+
+
+def _b0_codes(g: Group, h0: Element) -> set[Codes]:
+    """B0 as sorted code tuples."""
     blocks: set[Codes] = set()
     for base in _b0_bases(g, h0):
         blocks.update(orbits._expand(g, base))
-    elements = g.elements()
-    return frozenset(orbits._decoded(elements, block) for block in blocks)
+    return blocks
 
 
 def count_B0_formula(g: Group) -> int:
@@ -190,40 +195,49 @@ def count_special_triples(g: Group) -> int:
 class Design:
     """An assembled block set with per-block provenance.
 
-    ``provenance[i]`` is ``"B0"`` or ``"factor:<edge-index>"`` where the edge
-    index refers to the Koehler graph's deterministic edge ordering.  Blocks
-    are sorted lexicographically.  Every block is validated when the design
-    is made, which also encodes it once for :meth:`verify`.
+    ``codes[i]`` is block i as a sorted 4-tuple of element codes, checked
+    when the design is made; ``provenance[i]`` is ``"B0"`` or
+    ``"factor:<edge-index>"``, an index into the Koehler graph's edges.  A
+    constructed design lists its blocks in lexicographic order, and
+    :attr:`blocks` decodes them to coordinate tuples on first read.
     """
 
     group: Group
     h0: Element
-    blocks: tuple[Block, ...]
+    codes: tuple[Codes, ...]
     provenance: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        _ = self._codes  # validate every block now, not on first use
-        if len(self.blocks) != len(self.provenance):
+        v = self.group.order
+        for block in self.codes:
+            if type(block) is tuple and len(block) == 4:
+                p, q, r, s = block
+                if type(p) is type(q) is type(r) is type(s) is int and 0 <= p < q < r < s < v:
+                    continue
+            raise InvalidInputError(f"blocks must be 4 increasing element codes below {v}: {block!r}")
+        if len(self.codes) != len(self.provenance):
             raise InvalidInputError("provenance must align with blocks")
 
     @cached_property
-    def _codes(self) -> list[Codes]:
-        return _encode_blocks(self.group, self.blocks)
+    def blocks(self) -> tuple[Block, ...]:
+        elements = self.group.elements()
+        return tuple(orbits._decoded(elements, block) for block in self.codes)
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.codes)
 
     def verify(self) -> VerificationReport:
         """Triple coverage and reversibility of the blocks, as
         :func:`verify_design` reports them."""
-        return _design_report(self.group, self._codes)
+        return _design_report(self.group, self.codes)
 
     def to_json_dict(self) -> dict:
+        elements = self.group.elements()
         return {
             "group": list(self.group.factors),
             "h0": list(self.h0),
-            "blocks": [[list(e) for e in block] for block in self.blocks],
+            "blocks": [[list(elements[c]) for c in block] for block in self.codes],
             "provenance": list(self.provenance),
         }
 
@@ -237,19 +251,17 @@ def design_from_json_dict(payload: dict) -> Design:
                 f"design group factors must be sorted ascending, got {factors}"
             )
         g = make_group(factors)
-        h0 = tuple(int(c) for c in payload["h0"])
+        h0 = _validate_h0(g, tuple(int(c) for c in payload["h0"]))
         intern = g.intern
-        blocks = tuple(
-            tuple(intern(tuple(map(int, e))) for e in block) for block in payload["blocks"]
-        )
+        blocks = ([intern(tuple(map(int, e))) for e in block] for block in payload["blocks"])
+        codes = _encode_blocks(g, blocks)  # encodes each block as it is parsed
         provenance = tuple(str(p) for p in payload["provenance"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed design payload: {exc}") from exc
-    _validate_h0(g, h0)
-    return Design(group=g, h0=h0, blocks=blocks, provenance=provenance)
+    return Design(group=g, h0=h0, codes=codes, provenance=provenance)
 
 
-def _encode_blocks(g: Group, blocks) -> list[Codes]:
+def _encode_blocks(g: Group, blocks) -> tuple[Codes, ...]:
     """Validate each block and return it as a sorted 4-tuple of codes."""
     out = []
     encode = g.encode
@@ -261,10 +273,10 @@ def _encode_blocks(g: Group, blocks) -> list[Codes]:
         if not p < q < r < s:
             raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
         out.append((p, q, r, s))
-    return out
+    return tuple(out)
 
 
-def construct_design(g: Group, h0: Element | None = None, limit: int | None = None) -> Design:
+def construct_design(g: Group, h0: Element | None = None) -> Design:
     """Assemble a reversible SQS on ``g``: B0 plus one expanded edge per
     1-factor edge of the Koehler graph.
 
@@ -273,9 +285,8 @@ def construct_design(g: Group, h0: Element | None = None, limit: int | None = No
     the result before returning it.
     """
     require_sqs_order(g)
-    g.check_capacity(limit)
+    graph = kohler.build_graph(g)  # checks the capacity before h0 is looked for
     h0 = choose_h0(g) if h0 is None else _validate_h0(g, h0)
-    graph = kohler.build_graph(g, limit)
     return _assemble(g, h0, graph, _one_factor(g, graph))
 
 
@@ -293,27 +304,19 @@ def _assemble(
 
     B0 is built only here, once a 1-factor exists, so a failed matching
     wastes no B0 work."""
-    encode, elements = g.encode, g.elements()
-    # B0 comes from the public build_B0, one stage a tracer can wrap, so its
-    # tuple blocks are encoded back here
-    tagged: dict[Codes, str] = {tuple(map(encode, block)): B0_TAG for block in build_B0(g, h0)}
+    tagged: dict[Codes, str] = dict.fromkeys(_b0_codes(g, h0), B0_TAG)
     for edge_idx in factor.matched_edges:
-        base = tuple(map(encode, graph.edges[edge_idx].base))
+        base = tuple(map(g.encode, graph.edges[edge_idx].base))
         tag = f"{FACTOR_TAG_PREFIX}{edge_idx}"
         for block in orbits._expand(g, base):
             if block in tagged:
                 raise InternalInconsistencyError(
-                    f"block {orbits._decoded(elements, block)!r} produced twice ({tagged[block]} and {tag})"
+                    f"block {orbits._decoded(g.elements(), block)!r} produced twice ({tagged[block]} and {tag})"
                 )
             tagged[block] = tag
 
-    ordered = sorted(tagged)
-    design = Design(
-        group=g,
-        h0=h0,
-        blocks=tuple(orbits._decoded(elements, block) for block in ordered),
-        provenance=tuple(tagged[b] for b in ordered),
-    )
+    ordered = tuple(sorted(tagged))
+    design = Design(group=g, h0=h0, codes=ordered, provenance=tuple(map(tagged.__getitem__, ordered)))
     report = design.verify()
     if not (report.is_sqs and report.is_reversible):
         raise InternalInconsistencyError(f"constructed design for {g} failed verification")
@@ -376,7 +379,7 @@ def verify_design(g: Group, blocks) -> VerificationReport:
     return _design_report(g, _encode_blocks(g, blocks))
 
 
-def _design_report(g: Group, codes: list[Codes]) -> VerificationReport:
+def _design_report(g: Group, codes: tuple[Codes, ...]) -> VerificationReport:
     coverage = _coverage_violations(g, codes)
     asymmetric, violations = _reversibility_violations(g, codes)
     return VerificationReport(
@@ -388,7 +391,7 @@ def _design_report(g: Group, codes: list[Codes]) -> VerificationReport:
     )
 
 
-def _coverage_violations(g: Group, codes: list[Codes]) -> tuple[tuple[Subset, int], ...]:
+def _coverage_violations(g: Group, codes: tuple[Codes, ...]) -> tuple[tuple[Subset, int], ...]:
     """Triples covered other than once, with their counts, in lex order.
 
     A triple x < y < z of codes is packed as ``(x*v + y)*v + z``, which keeps
@@ -421,7 +424,7 @@ def _packed_triples(v: int):
 
 
 def _reversibility_violations(
-    g: Group, codes: list[Codes]
+    g: Group, codes: tuple[Codes, ...]
 ) -> tuple[tuple[Block, ...], tuple[tuple[Block, str], ...]]:
     """Asymmetric blocks, and blocks whose image under a coordinate
     generator or negation is missing, both in lex order of the distinct
@@ -474,7 +477,7 @@ class ExistenceVerdict:
         return payload
 
 
-def condition_iv_diagnostics(g: Group, limit: int | None = None) -> dict:
+def condition_iv_diagnostics(g: Group) -> dict:
     """Residue conditions and per-prime cyclic checks behind the
     existence criterion for cyclic Sylow 2-subgroups.
 
@@ -482,10 +485,10 @@ def condition_iv_diagnostics(g: Group, limit: int | None = None) -> dict:
     order 2p is matched directly; primes whose graph exceeds the capacity
     limit are reported as unevaluated rather than guessed.
     """
-    return _condition_iv(g, limit, None)
+    return _condition_iv(g, None)
 
 
-def _condition_iv(g: Group, limit: int | None, own_one_factor: bool | None) -> dict:
+def _condition_iv(g: Group, own_one_factor: bool | None) -> dict:
     """:func:`condition_iv_diagnostics`; ``own_one_factor`` is whether g's own
     Koehler graph has a 1-factor, when the caller has matched it already.
     Every abelian group of order 2p is cyclic, so for v = 2p that answers the
@@ -500,15 +503,14 @@ def _condition_iv(g: Group, limit: int | None, own_one_factor: bool | None) -> d
         "prime_checks": [],
         "unevaluated_primes": [],
     }
-    cap = max_order_limit() if limit is None else limit
     for p in _odd_prime_divisors(v):
-        if 2 * p > cap:
+        if 2 * p > max_order_limit():
             diagnostics["unevaluated_primes"].append(p)
             continue
         if 2 * p == v and own_one_factor is not None:
             has_factor = own_one_factor
         else:
-            graph = kohler.build_graph(make_group([2 * p]), limit)
+            graph = kohler.build_graph(make_group([2 * p]))
             try:
                 matching.one_factor(graph.adjacency)
                 has_factor = True
@@ -537,7 +539,7 @@ def _odd_prime_divisors(v: int) -> list[int]:
     return out
 
 
-def existence_check(g: Group, limit: int | None = None) -> ExistenceVerdict:
+def existence_check(g: Group) -> ExistenceVerdict:
     """Decide whether a reversible SQS exists on ``g``.
 
     * order not 2 or 4 mod 6: no SQS at all, verdict "no";
@@ -558,12 +560,12 @@ def existence_check(g: Group, limit: int | None = None) -> ExistenceVerdict:
         return ExistenceVerdict(verdict="no", reason=reason)
 
     sylow_cyclic = g.is_sylow2_cyclic
-    graph = kohler.build_graph(g, limit)
+    graph = kohler.build_graph(g)
     try:
         factor = _one_factor(g, graph)
     except ConstructionFailure as exc:
         factor, failure = None, exc
-    diagnostics = _condition_iv(g, limit, factor is not None) if sylow_cyclic else {}
+    diagnostics = _condition_iv(g, factor is not None) if sylow_cyclic else {}
     if factor is None:
         witness = tuple(str(vtx) for vtx in failure.component)
         if sylow_cyclic:

@@ -210,17 +210,17 @@ class Group:
 
     # -- enumeration and derived subsets ------------------------------------
 
-    def check_capacity(self, limit: int | None = None) -> None:
-        cap = max_order_limit() if limit is None else limit
+    def check_capacity(self) -> None:
+        cap = max_order_limit()
         if self.order > cap:
             raise CapacityError(
                 f"group order {self.order} exceeds the enumeration limit {cap}"
                 f" (set {MAX_ORDER_ENV_VAR} to raise it)"
             )
 
-    def elements(self, limit: int | None = None) -> tuple[Element, ...]:
+    def elements(self) -> tuple[Element, ...]:
         """All elements in lexicographic coordinate order (deterministic)."""
-        self.check_capacity(limit)
+        self.check_capacity()
         return self._element_tuple
 
     @cached_property

@@ -45,9 +45,9 @@ class KohlerGraph:
         return f"KohlerGraph({self.group}, V={len(self.vertices)}, E={len(self.edges)})"
 
 
-def build_graph(g: Group, limit: int | None = None) -> KohlerGraph:
+def build_graph(g: Group) -> KohlerGraph:
     """Build the Koehler graph of ``g`` with deterministic indexing."""
-    g.check_capacity(limit)
+    g.check_capacity()
     v = g.order
     neg, double = g.neg_table, g.double_table
 

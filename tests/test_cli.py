@@ -33,6 +33,10 @@ PINNED_STDOUT = {
     "exists --group 10": (0, "2ad5d1a37efcd5625a6b00fbf4db33064f45c19b4f73fa41f9c2980aebade09c"),
     "exists --group 22": (2, "cdb1acf67e99f4b75055dd705d1f755df0326c536504e4a4633b4bf4a38bab2c"),
     "exists --group 2,5,5": (0, "1501a836fc68d40af286fa061d260e932b986ef8416ee96de5fe184c92a680d8"),
+    # an h0 override on construct, and count, which reads the tuple B0
+    "construct --group 4,4 --h0 2,0": (0, "48a0d237eea6ffaf53dafb2d1148824d49b5986b77ee4fbb57d1c5620d46781c"),
+    "construct --group 2,2,5 --h0 1,1,0": (0, "5e558f40d38a0d406d005b0704eeab4e9c99863f35095970fe94f56bf86b0b2f"),
+    "count --group 2,2,2,2,2,2": (0, "6ad56b8aefc6bb0dd6dfcf6e24074f3885c5aa11b27a8c62937693c06a09fbff"),
 }
 
 
@@ -177,6 +181,39 @@ def test_verify_non_json_exit_1(tmp_path, capsys):
 def test_verify_missing_file_exit_1(capsys):
     code, _, _ = run_cli(capsys, "verify", "/nonexistent/design.json")
     assert code == 1
+
+
+@pytest.mark.parametrize("fault", ["bad-h0", "no-provenance"])
+def test_verify_payload_with_two_faults_exit_1(tmp_path, capsys, fault):
+    # a block holds a non-element, and h0 is a non-element or provenance is
+    # missing; either fault may be named first
+    payload = {
+        "group": [2, 2, 5],
+        "h0": [1, 0, 0],
+        "blocks": [[[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, 7]]],
+        "provenance": ["B0"],
+    }
+    if fault == "bad-h0":
+        payload["h0"] = [0, 0, 9]
+    else:
+        del payload["provenance"]
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+def test_construct_out_writes_the_stdout_bytes(tmp_path, capsys):
+    path = tmp_path / "design.json"
+    code, printed, _ = run_cli(capsys, "construct", "--group", "2,2,5")
+    assert code == 0
+    code, out, err = run_cli(capsys, "construct", "--group", "2,2,5", "--out", str(path))
+    assert code == 0
+    assert out == ""
+    assert "wrote 285 blocks" in err
+    assert path.read_bytes() == printed.encode("utf-8")
 
 
 def test_graph_stats(capsys):

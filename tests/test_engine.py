@@ -27,6 +27,7 @@ from kohler_sqs.engine import (
     verify_reversible,
     verify_sqs,
 )
+from kohler_sqs.groups import MAX_ORDER_ENV_VAR
 from kohler_sqs.kohler import build_graph
 from kohler_sqs.orbits import canonicalize, classify_triple, expand_orbit
 
@@ -300,7 +301,7 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 def test_b0_is_built_only_once_a_one_factor_exists(monkeypatch):
-    calls = _count_calls(monkeypatch, engine, "build_B0")
+    calls = _count_calls(monkeypatch, engine, "_b0_codes")
     for factors in ([14], [22]):
         with pytest.raises(ConstructionFailure):
             construct_design(make_group(factors))
@@ -324,8 +325,9 @@ def test_existence_check_builds_one_graph_for_order_2p(monkeypatch, factors):
     assert expected["prime_checks"] == [{"p": 11, "order": 22, "has_one_factor": False}]
 
 
-def test_diagnostics_respect_capacity():
-    diag = condition_iv_diagnostics(make_group([2, 101]), limit=100)
+def test_diagnostics_respect_capacity(monkeypatch):
+    monkeypatch.setenv(MAX_ORDER_ENV_VAR, "100")
+    diag = condition_iv_diagnostics(make_group([2, 101]))
     assert diag["unevaluated_primes"] == [101]
 
 
@@ -341,7 +343,27 @@ def test_b0_orbit_reps_tags():
 
 def test_design_provenance_alignment_checked():
     with pytest.raises(InvalidInputError):
-        Design(group=Z10, h0=(5,), blocks=(t(0, 1, 3, 4),), provenance=())
+        Design(group=Z10, h0=(5,), codes=((0, 1, 3, 4),), provenance=())
+
+
+@pytest.mark.parametrize("block", [(0, 1, 3, 10), (1, 0, 3, 4), (0, 1, 1, 4), (0, 1, 3)])
+def test_design_rejects_bad_codes(block):
+    # a code outside range(v), codes out of order, a repeated code, three codes
+    with pytest.raises(InvalidInputError):
+        Design(group=Z10, h0=(5,), codes=(block,), provenance=("B0",))
+
+
+def test_construction_encodes_no_block(monkeypatch):
+    # blocks stay codes from B0 to the design: nothing is decoded and encoded back
+    calls = _count_calls(monkeypatch, engine, "_encode_blocks")
+    tuple_b0 = _count_calls(monkeypatch, engine, "build_B0")
+    design = construct_design(Z44)
+    verdict = existence_check(Z10)
+    assert verdict.verdict == "yes"
+    assert calls == []
+    assert tuple_b0 == []
+    assert design.blocks == tuple(tuple(map(Z44.decode, block)) for block in design.codes)
+    assert len(verdict.design.codes) == 30
 
 
 def test_existence_sweep_is_coherent():

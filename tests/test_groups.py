@@ -135,7 +135,6 @@ def test_capacity_limit(monkeypatch):
     g = make_group([101, 101])
     with pytest.raises(CapacityError):
         g.elements()
-    assert len(g.elements(limit=11000)) == 10201
     monkeypatch.setenv(MAX_ORDER_ENV_VAR, "11000")
     assert max_order_limit() == 11000
     assert len(g.elements()) == 10201

@@ -31,9 +31,25 @@ EXIT_VERIFY_FAILED = 3
 EXIT_UNKNOWN = 4
 
 
-def _emit(payload: dict, fh=None) -> None:
-    """One line of compact, key-sorted JSON to ``fh``, stdout by default."""
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=fh)
+def _emit(payload: dict | engine.Design, fh=None) -> None:
+    """One line of compact, key-sorted JSON to ``fh``, stdout by default.
+
+    A :class:`~kohler_sqs.engine.Design`, whole or as a value of ``payload``,
+    is streamed by :meth:`~kohler_sqs.engine.Design.write_json`."""
+    fh = sys.stdout if fh is None else fh
+    if isinstance(payload, engine.Design):
+        payload.write_json(fh)
+    else:
+        fh.write("{")
+        for i, key in enumerate(sorted(payload)):
+            fh.write(("," if i else "") + engine._dumps(key) + ":")
+            value = payload[key]
+            if isinstance(value, engine.Design):
+                value.write_json(fh)
+            else:
+                fh.write(engine._dumps(value))
+        fh.write("}")
+    fh.write("\n")
 
 
 def _note(message: str) -> None:
@@ -62,19 +78,30 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         _note(str(exc))
         _note("a 1-factor of the Koehler graph is required; none exists for this group")
         return EXIT_NO
-    payload = design.to_json_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _emit(payload, fh)
+            _emit(design, fh)
         _note(f"wrote {design.block_count} blocks to {args.out}")
     else:
-        _emit(payload)
+        _emit(design)
     return EXIT_OK
 
 
+def _read_json(path: str):
+    """The JSON document in the file at ``path``; a file that is not UTF-8
+    JSON raises InvalidInputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON, bytes that are not UTF-8 and integer
+            # literals past int()'s digit limit; RecursionError, deep nesting
+            raise InvalidInputError(f"cannot read {path} as JSON: {exc}") from exc
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.design, "r", encoding="utf-8") as fh:
-        design = engine.design_from_json_dict(json.load(fh))
+    # the parsed document is freed once the design is made, before verifying
+    design = engine.design_from_json_dict(_read_json(args.design))
     report = design.verify()
     _emit(report.to_json_dict())
     return EXIT_OK if report.is_sqs and report.is_reversible else EXIT_VERIFY_FAILED
@@ -171,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (KohlerSqsError, OSError, json.JSONDecodeError) as exc:
+    except (KohlerSqsError, OSError) as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
 

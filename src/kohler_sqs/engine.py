@@ -19,6 +19,7 @@ SQS(20) fixture).
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -191,6 +192,15 @@ def count_special_triples(g: Group) -> int:
     return total
 
 
+#: blocks (and provenance tags) per write when a design is written as JSON
+JSON_CHUNK = 4096
+
+
+def _dumps(value) -> str:
+    """Compact JSON, as every document the package writes is."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class Design:
     """An assembled block set with per-block provenance.
@@ -232,14 +242,25 @@ class Design:
         :func:`verify_design` reports them."""
         return _design_report(self.group, self.codes)
 
-    def to_json_dict(self) -> dict:
-        elements = self.group.elements()
-        return {
-            "group": list(self.group.factors),
-            "h0": list(self.h0),
-            "blocks": [[list(elements[c]) for c in block] for block in self.codes],
-            "provenance": list(self.provenance),
-        }
+    def write_json(self, fh) -> None:
+        """Write the design to ``fh`` as one compact JSON object with sorted
+        keys ``blocks``, ``group``, ``h0`` and ``provenance``, each block a
+        list of coordinate lists, without a trailing newline.
+
+        The bytes are those of ``json.dumps(..., sort_keys=True,
+        separators=(",", ":"))`` on that object, but no block is built as a
+        list: each element is rendered once, and blocks and provenance go to
+        ``fh`` in chunks of :data:`JSON_CHUNK` entries."""
+        el = [_dumps(x) for x in self.group.elements()]
+        codes, provenance = self.codes, self.provenance
+        fh.write('{"blocks":[')
+        for start in range(0, len(codes), JSON_CHUNK):
+            chunk = codes[start : start + JSON_CHUNK]
+            fh.write(("," if start else "") + ",".join([f"[{el[p]},{el[q]},{el[r]},{el[s]}]" for p, q, r, s in chunk]))
+        fh.write(f'],"group":{_dumps(self.group.factors)},"h0":{_dumps(self.h0)},"provenance":[')
+        for start in range(0, len(provenance), JSON_CHUNK):
+            fh.write(("," if start else "") + _dumps(provenance[start : start + JSON_CHUNK])[1:-1])
+        fh.write("]}")
 
 
 def design_from_json_dict(payload: dict) -> Design:
@@ -428,27 +449,40 @@ def _reversibility_violations(
 ) -> tuple[tuple[Block, ...], tuple[tuple[Block, str], ...]]:
     """Asymmetric blocks, and blocks whose image under a coordinate
     generator or negation is missing, both in lex order of the distinct
-    blocks."""
-    block_set = set(codes)
-    ordered = sorted(block_set)
-    add, neg, double, elements = g.add_codes, g.neg_table, g.double_table, g.elements()
-    asymmetric = tuple(
-        orbits._decoded(elements, b) for b in ordered if not orbits._is_symmetric(add, double, b)
-    )
-    generators = []
+    blocks.
+
+    A block is looked up by its bitmask ``bit[p] | bit[q] | bit[r] | bit[s]``
+    with ``bit[x] = 1 << x``: four distinct codes give one mask in any order,
+    so an image needs no sort.  Once every image is present the set is
+    invariant under all translations and negation, both of which preserve
+    symmetry, and every block has a translate through code 0; so the blocks
+    through 0 are all symmetric exactly when every block is, and only they are
+    tested.  Otherwise every block is tested, to list the asymmetric ones."""
+    bit = [1 << x for x in range(g.order)]
+    present = {bit[p] | bit[q] | bit[r] | bit[s] for p, q, r, s in codes}
+    images = []
     for i in range(len(g.factors)):
         gen = [0] * len(g.factors)
         gen[i] = 1
-        generators.append((f"translate+{tuple(gen)}", g.translation(g.encode(tuple(gen)))))
-    violations = []
-    for block in ordered:
-        p, q, r, s = block
-        for label, row in generators:
-            if tuple(sorted((row[p], row[q], row[r], row[s]))) not in block_set:
-                violations.append((orbits._decoded(elements, block), label))
-        if tuple(sorted((neg[p], neg[q], neg[r], neg[s]))) not in block_set:
-            violations.append((orbits._decoded(elements, block), "negate"))
-    return asymmetric, tuple(violations)
+        row = g.translation(g.encode(tuple(gen)))
+        images.append((f"translate+{tuple(gen)}", [bit[y] for y in row]))
+    images.append(("negate", [bit[y] for y in g.neg_table]))
+    is_symmetric, add, double = orbits._is_symmetric, g.add_codes, g.double_table
+    if all(
+        present.issuperset(image[p] | image[q] | image[r] | image[s] for p, q, r, s in codes)
+        for _, image in images
+    ) and all(is_symmetric(add, double, b) for b in codes if b[0] == 0):
+        return (), ()
+    ordered = sorted(set(codes))
+    elements = g.elements()
+    asymmetric = tuple(orbits._decoded(elements, b) for b in ordered if not is_symmetric(add, double, b))
+    violations = tuple(
+        (orbits._decoded(elements, (p, q, r, s)), label)
+        for p, q, r, s in ordered
+        for label, image in images
+        if image[p] | image[q] | image[r] | image[s] not in present
+    )
+    return asymmetric, violations
 
 
 # -- existence -------------------------------------------------------------
@@ -466,12 +500,15 @@ class ExistenceVerdict:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """The verdict as a JSON object, except that ``witness`` is the
+        :class:`Design` itself (or None), which :meth:`Design.write_json`
+        writes without building its blocks as lists."""
         payload: dict = {
             "verdict": self.verdict,
             "reason": self.reason,
             "diagnostics": self.diagnostics,
+            "witness": self.design,
         }
-        payload["witness"] = self.design.to_json_dict() if self.design else None
         if self.witness_component:
             payload["witness_component"] = list(self.witness_component)
         return payload

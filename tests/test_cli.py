@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -6,7 +7,9 @@ from itertools import product
 
 import pytest
 
-from kohler_sqs import cli, engine
+from kohler_sqs import cli, engine, make_group
+
+from util import constructed_designs, design_json_dict
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -37,6 +40,10 @@ PINNED_STDOUT = {
     "construct --group 4,4 --h0 2,0": (0, "48a0d237eea6ffaf53dafb2d1148824d49b5986b77ee4fbb57d1c5620d46781c"),
     "construct --group 2,2,5 --h0 1,1,0": (0, "5e558f40d38a0d406d005b0704eeab4e9c99863f35095970fe94f56bf86b0b2f"),
     "count --group 2,2,2,2,2,2": (0, "6ad56b8aefc6bb0dd6dfcf6e24074f3885c5aa11b27a8c62937693c06a09fbff"),
+    # 40,425 blocks each, written in several chunks; the benchmark pins the
+    # same bytes as its verify inputs
+    "construct --group 4,25": (0, "add4c005d9d53e7bbe7bee705ade87b5c7a93b36dd2d9576b354a67d71d3a596"),
+    "construct --group 2,2,25": (0, "01eb9e38c132e2a19cf373e2186b60491b79db4f325c2011f506c9fba7034002"),
 }
 
 
@@ -178,6 +185,21 @@ def test_verify_non_json_exit_1(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"group": [10]}', b"[" * 100_000 + b"]" * 100_000, b'{"group": [' + b"9" * 5000 + b"]}"],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_verify_unreadable_json_exit_1(tmp_path, content):
+    path = tmp_path / "design.json"
+    path.write_bytes(content)
+    proc = subprocess.run([sys.executable, "-m", "kohler_sqs", "verify", str(path)], capture_output=True)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error:")
+    assert b"Traceback" not in proc.stderr
+
+
 def test_verify_missing_file_exit_1(capsys):
     code, _, _ = run_cli(capsys, "verify", "/nonexistent/design.json")
     assert code == 1
@@ -207,13 +229,42 @@ def test_verify_payload_with_two_faults_exit_1(tmp_path, capsys, fault):
 
 def test_construct_out_writes_the_stdout_bytes(tmp_path, capsys):
     path = tmp_path / "design.json"
-    code, printed, _ = run_cli(capsys, "construct", "--group", "2,2,5")
-    assert code == 0
-    code, out, err = run_cli(capsys, "construct", "--group", "2,2,5", "--out", str(path))
-    assert code == 0
-    assert out == ""
-    assert "wrote 285 blocks" in err
-    assert path.read_bytes() == printed.encode("utf-8")
+    for spec, blocks in (("2,2,5", 285), ("4,25", 40425)):
+        code, printed, _ = run_cli(capsys, "construct", "--group", spec)
+        assert code == 0
+        code, out, err = run_cli(capsys, "construct", "--group", spec, "--out", str(path))
+        assert code == 0
+        assert out == ""
+        assert f"wrote {blocks} blocks" in err
+        assert path.read_bytes() == printed.encode("utf-8")
+
+
+def _reference_line(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _written(payload) -> str:
+    buf = io.StringIO()
+    cli._emit(payload, buf)
+    return buf.getvalue()
+
+
+def test_design_writer_matches_the_reference_dump():
+    designs = list(constructed_designs(64))
+    designs.append(engine.construct_design(make_group([2, 2, 5]), h0=(1, 1, 0)))
+    # over JSON_CHUNK blocks, with tags that need escaping
+    z2_6 = next(d for d in designs if d.group.factors == (2,) * 6)
+    assert len(z2_6.codes) > engine.JSON_CHUNK
+    tags = ('a "quoted" \\ tag', "caf\u00e9 \u2603")
+    designs.append(
+        engine.Design(
+            group=z2_6.group, h0=z2_6.h0, codes=z2_6.codes, provenance=tuple(tags[i % 2] for i in range(len(z2_6.codes)))
+        )
+    )
+    for design in designs:
+        assert _written(design) == _reference_line(design_json_dict(design)), str(design.group)
+    verdict = engine.existence_check(make_group([2, 2, 5])).to_json_dict()
+    assert _written(verdict) == _reference_line(dict(verdict, witness=design_json_dict(verdict["witness"])))
 
 
 def test_graph_stats(capsys):

@@ -10,7 +10,7 @@ from kohler_sqs import (
     NoInvolutionError,
     make_group,
 )
-from kohler_sqs import engine, kohler
+from kohler_sqs import engine, kohler, orbits
 from kohler_sqs.engine import (
     B0_TAG,
     Design,
@@ -27,11 +27,23 @@ from kohler_sqs.engine import (
     verify_reversible,
     verify_sqs,
 )
+from kohler_sqs.fixtures import sqs20_blocks, sqs20_group
 from kohler_sqs.groups import MAX_ORDER_ENV_VAR
 from kohler_sqs.kohler import build_graph
-from kohler_sqs.orbits import canonicalize, classify_triple, expand_orbit
+from kohler_sqs.orbits import OrbitRep, canonicalize, classify_triple, expand_orbit
 
-from util import QUAD_E, b0_blocks, classify_quadruple, factor_edge_indices
+from util import (
+    QUAD_ASYMMETRIC,
+    QUAD_E,
+    b0_blocks,
+    classify_quadruple,
+    constructed_designs,
+    coverage_violations_by_counting,
+    design_json_dict,
+    factor_edge_indices,
+    quadruple_orbit_reps,
+    reversibility_violations_by_sorting,
+)
 
 Z10 = make_group([10])
 Z44 = make_group([4, 4])
@@ -226,7 +238,7 @@ def test_verification_report_merging():
 
 def test_design_json_round_trip():
     d = construct_design(Z225)
-    payload = d.to_json_dict()
+    payload = design_json_dict(d)
     restored = design_from_json_dict(payload)
     assert restored == d
     with pytest.raises(InvalidInputError):
@@ -397,3 +409,100 @@ def test_small_orders_degenerate_designs():
     assert d4.block_count == 1
     assert verify_design(make_group([4]), d4.blocks).is_sqs is True
     assert comb(4, 3) == 4
+
+
+def _single_block_mutations(codes: tuple, v: int):
+    """``codes`` with its middle block dropped, duplicated, and moved (when
+    v > 4): the block's last point replaced by the least code outside it."""
+    k = len(codes) // 2
+    block = codes[k]
+    yield codes[:k] + codes[k + 1 :]
+    yield codes + (block,)
+    if v > 4:
+        moved = tuple(sorted(block[:3] + (min(set(range(v)) - set(block)),)))
+        yield codes[:k] + (moved,) + codes[k + 1 :]
+
+
+def _kernel_cases():
+    """(group, codes) pairs on which the reversibility kernel must agree with
+    the sorting reference."""
+    g20 = sqs20_group()
+    designs = [(d.group, d.codes) for d in constructed_designs(64)]
+    designs.append((g20, engine._encode_blocks(g20, sorted(sqs20_blocks()))))
+    for g, codes in designs:
+        yield g, codes
+        if codes:
+            yield from ((g, mutated) for mutated in _single_block_mutations(codes, g.order))
+    for g, codes in designs:
+        if g.order >= 10:
+            # a whole orbit removed leaves an invariant set of symmetric blocks
+            orbit = orbits._expand(g, codes[len(codes) // 2])
+            yield g, tuple(b for b in codes if b not in orbit)
+    # an invariant set whose blocks are all asymmetric
+    asymmetric = next(
+        base for base in quadruple_orbit_reps(Z10) if classify_quadruple(Z10, OrbitRep(Z10, base)) == QUAD_ASYMMETRIC
+    )
+    yield Z10, tuple(sorted(orbits._expand(Z10, tuple(map(Z10.encode, asymmetric)))))
+
+
+def test_reversibility_kernel_agrees_with_the_sorting_reference():
+    outcomes = set()
+    for g, codes in _kernel_cases():
+        got = engine._reversibility_violations(g, codes)
+        assert got == reversibility_violations_by_sorting(g, codes), (str(g), len(codes))
+        outcomes.add((bool(got[0]), bool(got[1])))
+    # valid sets, sets missing an image (some with an asymmetric block), and
+    # the invariant asymmetric orbit
+    assert outcomes == {(False, False), (False, True), (True, True), (True, False)}
+
+
+def test_symmetry_is_tested_on_blocks_through_zero_only_when_invariant(monkeypatch):
+    g = make_group([4, 25])
+    calls = _count_calls(monkeypatch, orbits, "_is_symmetric")
+    design = construct_design(g)
+    # an SQS(100) has C(99, 2) / 3 blocks through 0
+    assert len(calls) == comb(99, 2) // 3 == 1617
+    calls.clear()
+    dropped = Design(group=g, h0=design.h0, codes=design.codes[1:], provenance=design.provenance[1:])
+    assert dropped.verify().is_reversible is False
+    assert len(calls) == len(design.codes) - 1
+
+
+def test_verify_design_flags_every_single_block_mutation():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    designs = [d for d in constructed_designs(50) if d.group.order >= 10]
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(
+        design=st.sampled_from(designs),
+        mutation=st.sampled_from(["drop", "duplicate", "perturb"]),
+        index=st.integers(min_value=0),
+        point=st.integers(min_value=0),
+        code=st.integers(min_value=0),
+    )
+    def check(design, mutation, index, point, code):
+        g, blocks = design.group, list(design.blocks)
+        i = index % len(blocks)
+        if mutation == "drop":
+            del blocks[i]
+        elif mutation == "duplicate":
+            blocks.append(blocks[i])
+        else:
+            block = list(blocks[i])
+            outside = [x for x in g.elements() if x not in block]
+            block[point % 4] = outside[code % len(outside)]
+            blocks[i] = tuple(block)
+        report = verify_design(g, blocks)
+        assert not (report.is_sqs and report.is_reversible)
+        coverage = coverage_violations_by_counting(g, blocks)
+        asymmetric, invariance = reversibility_violations_by_sorting(g, engine._encode_blocks(g, blocks))
+        assert report == engine.VerificationReport(
+            is_sqs=not coverage,
+            is_reversible=not asymmetric and not invariance,
+            triple_coverage_violations=coverage,
+            asymmetric_blocks=asymmetric,
+            invariance_violations=invariance,
+        )
+
+    check()

@@ -12,12 +12,14 @@ than in the package.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations, product
 
-from kohler_sqs import Design, InvalidInputError, kohler, make_group
+from kohler_sqs import ConstructionFailure, Design, InvalidInputError, construct_design, kohler, make_group, orbits
 from kohler_sqs.engine import B0_TAG, FACTOR_TAG_PREFIX
 from kohler_sqs.groups import Element, Group
-from kohler_sqs.orbits import QUAD_Q1, QUAD_Q2, QUAD_Q3, OrbitRep, canonicalize, in_E, in_T
+from kohler_sqs.orbits import QUAD_Q1, QUAD_Q2, QUAD_Q3, Codes, OrbitRep, canonicalize, in_E, in_T
 
 QUAD_E = "E"
 QUAD_ASYMMETRIC = "Asymmetric"
@@ -262,6 +264,69 @@ def all_subgroups(g: Group) -> list[frozenset[Element]]:
                     nxt.append(bigger)
         frontier = nxt
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+# -- designs ---------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def constructed_designs(max_v: int) -> tuple[Design, ...]:
+    """The design :func:`construct_design` builds for each abelian group of
+    order at most ``max_v`` that has one, in order of v."""
+    out = []
+    for v in range(2, max_v + 1):
+        if v % 6 not in (2, 4):
+            continue
+        for g in abelian_groups_of_order(v):
+            try:
+                out.append(construct_design(g))
+            except ConstructionFailure:
+                pass
+    return tuple(out)
+
+
+def design_json_dict(design: Design) -> dict:
+    """The design as a JSON object built list by list: the reference for the
+    bytes of :meth:`Design.write_json`."""
+    elements = design.group.elements()
+    return {
+        "group": list(design.group.factors),
+        "h0": list(design.h0),
+        "blocks": [[list(elements[c]) for c in block] for block in design.codes],
+        "provenance": list(design.provenance),
+    }
+
+
+def reversibility_violations_by_sorting(g: Group, codes: tuple[Codes, ...]):
+    """The reference for ``engine._reversibility_violations``: every block is
+    tested for symmetry, and each image is sorted and looked up as a tuple."""
+    block_set = set(codes)
+    ordered = sorted(block_set)
+    add, neg, double, elements = g.add_codes, g.neg_table, g.double_table, g.elements()
+    asymmetric = tuple(
+        orbits._decoded(elements, b) for b in ordered if not orbits._is_symmetric(add, double, b)
+    )
+    generators = []
+    for i in range(len(g.factors)):
+        gen = [0] * len(g.factors)
+        gen[i] = 1
+        generators.append((f"translate+{tuple(gen)}", g.translation(g.encode(tuple(gen)))))
+    violations = []
+    for block in ordered:
+        p, q, r, s = block
+        for label, row in generators:
+            if tuple(sorted((row[p], row[q], row[r], row[s]))) not in block_set:
+                violations.append((orbits._decoded(elements, block), label))
+        if tuple(sorted((neg[p], neg[q], neg[r], neg[s]))) not in block_set:
+            violations.append((orbits._decoded(elements, block), "negate"))
+    return asymmetric, tuple(violations)
+
+
+def coverage_violations_by_counting(g: Group, blocks) -> tuple[tuple[tuple[Element, ...], int], ...]:
+    """Triples covered other than once, with their counts, in lex order, by
+    counting the 3-subsets of every block and listing every triple."""
+    counts = Counter(t for block in blocks for t in combinations(sorted(block), 3))
+    return tuple((t, counts[t]) for t in combinations(g.elements(), 3) if counts[t] != 1)
 
 
 # -- design provenance -----------------------------------------------------

@@ -136,7 +136,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         h0 = engine.choose_h0(g)
     formula_b0 = engine.count_B0_formula(g)
     formula_special = engine.count_special_triples_formula(g)
-    enum_b0 = len(engine.build_B0(g, h0))
+    enum_b0 = engine.count_B0(g, h0)
     enum_special = engine.count_special_triples(g)
     agree = formula_b0 == enum_b0 and formula_special == enum_special
     _emit(

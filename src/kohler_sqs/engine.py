@@ -20,10 +20,11 @@ SQS(20) fixture).
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from . import kohler, matching, orbits
@@ -125,15 +126,15 @@ def b0_orbit_reps(g: Group, h0: Element) -> dict[OrbitRep, str]:
 def build_B0(g: Group, h0: Element) -> frozenset[Block]:
     """The forced block set B0 (union of the expanded Q1, Q2, Q3 orbits)."""
     elements = g.elements()
-    return frozenset(orbits._decoded(elements, block) for block in _b0_codes(g, h0))
+    return frozenset(
+        orbits._decoded(elements, block) for base in _b0_bases(g, h0) for block in orbits._expand(g, base)
+    )
 
 
-def _b0_codes(g: Group, h0: Element) -> set[Codes]:
-    """B0 as sorted code tuples."""
-    blocks: set[Codes] = set()
-    for base in _b0_bases(g, h0):
-        blocks.update(orbits._expand(g, base))
-    return blocks
+def count_B0(g: Group, h0: Element) -> int:
+    """|B0| counted orbit by orbit: the forced orbits are distinct, so their
+    sizes sum to the number of blocks, without expanding any of them."""
+    return sum(orbits._orbit_size(g, base) for base in _b0_bases(g, h0))
 
 
 def count_B0_formula(g: Group) -> int:
@@ -264,20 +265,21 @@ class Design:
 
 
 def design_from_json_dict(payload: dict) -> Design:
+    # no value is coerced: a factor or coordinate that is not a JSON integer
+    # (a float, a string, a bool) is no element and is rejected
     try:
-        factors = [int(d) for d in payload["group"]]
+        factors = list(payload["group"])
         if factors != sorted(factors):
             # coordinates are relative to the factor order; refuse to reinterpret
             raise InvalidInputError(
                 f"design group factors must be sorted ascending, got {factors}"
             )
         g = make_group(factors)
-        h0 = _validate_h0(g, tuple(int(c) for c in payload["h0"]))
-        intern = g.intern
-        blocks = ([intern(tuple(map(int, e))) for e in block] for block in payload["blocks"])
+        h0 = _validate_h0(g, tuple(payload["h0"]))
+        blocks = (map(tuple, block) for block in payload["blocks"])
         codes = _encode_blocks(g, blocks)  # encodes each block as it is parsed
         provenance = tuple(str(p) for p in payload["provenance"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed design payload: {exc}") from exc
     return Design(group=g, h0=h0, codes=codes, provenance=provenance)
 
@@ -321,27 +323,40 @@ def _one_factor(g: Group, graph: kohler.KohlerGraph) -> matching.Matching:
 def _assemble(
     g: Group, h0: Element, graph: kohler.KohlerGraph, factor: matching.Matching
 ) -> Design:
-    """B0 plus the expansions of the 1-factor's edge orbits, verified.
+    """B0 plus the expansions of the 1-factor's edge orbits, verified orbit
+    by orbit before any block is made.
 
     B0 is built only here, once a 1-factor exists, so a failed matching
-    wastes no B0 work."""
-    tagged: dict[Codes, str] = dict.fromkeys(_b0_codes(g, h0), B0_TAG)
-    for edge_idx in factor.matched_edges:
-        base = tuple(map(g.encode, graph.edges[edge_idx].base))
-        tag = f"{FACTOR_TAG_PREFIX}{edge_idx}"
-        for block in orbits._expand(g, base):
-            if block in tagged:
-                raise InternalInconsistencyError(
-                    f"block {orbits._decoded(g.elements(), block)!r} produced twice ({tagged[block]} and {tag})"
-                )
-            tagged[block] = tag
+    wastes no B0 work.  Distinct orbits share no block, so the expansions
+    are concatenated, and the sorted blocks must number the sum of the orbit
+    sizes and increase strictly: that ties them to the verified orbits."""
+    tagged = _design_bases(g, h0, graph, factor)
+    sizes = _orbit_sizes(g, [base for base, _ in tagged])
+    if sizes is None:
+        raise InternalInconsistencyError(f"the orbits assembled for {g} do not form a reversible SQS")
+    blocks: list[Codes] = []
+    tags: list[str] = []
+    for base, tag in tagged:
+        members = orbits._expand(g, base, symmetric=True)
+        blocks += members
+        tags += [tag] * len(members)
+    order = sorted(range(len(blocks)), key=blocks.__getitem__)
+    codes = tuple(map(blocks.__getitem__, order))
+    if len(codes) != sum(sizes) or not all(map(operator.lt, codes, islice(codes, 1, None))):
+        raise InternalInconsistencyError(f"the orbits assembled for {g} expand to other blocks than verified")
+    return Design(group=g, h0=h0, codes=codes, provenance=tuple(map(tags.__getitem__, order)))
 
-    ordered = tuple(sorted(tagged))
-    design = Design(group=g, h0=h0, codes=ordered, provenance=tuple(map(tagged.__getitem__, ordered)))
-    report = design.verify()
-    if not (report.is_sqs and report.is_reversible):
-        raise InternalInconsistencyError(f"constructed design for {g} failed verification")
-    return design
+
+def _design_bases(
+    g: Group, h0: Element, graph: kohler.KohlerGraph, factor: matching.Matching
+) -> list[tuple[Codes, str]]:
+    """The canonical base of each orbit of the design, with the provenance
+    of its blocks: B0's forced orbits, then one edge orbit per 1-factor edge."""
+    tagged = [(base, B0_TAG) for base in _b0_bases(g, h0)]
+    tagged += [
+        (tuple(map(g.encode, graph.edges[i].base)), f"{FACTOR_TAG_PREFIX}{i}") for i in factor.matched_edges
+    ]
+    return tagged
 
 
 # -- verification ----------------------------------------------------------
@@ -410,6 +425,42 @@ def _design_report(g: Group, codes: tuple[Codes, ...]) -> VerificationReport:
         asymmetric_blocks=asymmetric,
         invariance_violations=violations,
     )
+
+
+def _orbit_sizes(g: Group, bases: list[Codes]) -> list[int] | None:
+    """The size of the orbit of each base when those orbits are the blocks
+    of a reversible SQS on ``g``, else None.
+
+    Every base must be symmetric, and the bases pairwise distinct.  The
+    union of the orbits is invariant, and its blocks are symmetric, by
+    construction.  For a triple orbit τ, let mᵢ(τ) count the 3-subsets of
+    baseᵢ that lie in τ: the orbits then hold Σᵢ |Oᵢ|·mᵢ(τ) incidences of
+    a block with a triple of τ, and the group moves τ's triples onto each
+    other, so each lies in the same number of blocks.  Every triple lies in
+    exactly one block when that sum is |τ| for every τ the bases meet and
+    those |τ| add up to C(v, 3).  An orbit with n0 members through 0 has
+    v·n0/k members, k = 4 for blocks and 3 for triples."""
+    is_symmetric, add, double = orbits._is_symmetric, g.add_codes, g.double_table
+    if len(set(bases)) != len(bases) or not all(is_symmetric(add, double, base) for base in bases):
+        return None
+    v, sub, neg = g.order, g.sub_codes, g.neg_table
+    sizes = [orbits._orbit_size(g, base) for base in bases]
+    #: canonical nonzero pair of each triple orbit met -> [Σ |Oᵢ|·mᵢ(τ), n0]
+    met: dict[tuple[int, int], list[int]] = {}
+    for base, size in zip(bases, sizes):
+        for x, y, z in combinations(base, 3):
+            candidates = orbits._triple_candidates(neg, sub(y, x), sub(z, x), sub(z, y))
+            tau = min(candidates)
+            if tau in met:
+                met[tau][0] += size
+            else:
+                met[tau] = [size, len(set(candidates))]
+    covered = 0
+    for incidences, n0 in met.values():
+        if 3 * incidences != v * n0:
+            return None
+        covered += incidences
+    return sizes if covered == comb(v, 3) else None
 
 
 def _coverage_violations(g: Group, codes: tuple[Codes, ...]) -> tuple[tuple[Subset, int], ...]:

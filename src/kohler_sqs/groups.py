@@ -104,7 +104,7 @@ class Group:
         return (
             isinstance(x, tuple)
             and len(x) == len(self.factors)
-            and all(isinstance(c, int) and 0 <= c < d for c, d in zip(x, self.factors))
+            and all(type(c) is int and 0 <= c < d for c, d in zip(x, self.factors))
         )
 
     def validate_element(self, x: object) -> Element:
@@ -120,18 +120,11 @@ class Group:
             code = self._index.get(x)
         except TypeError:  # unhashable, so not a tuple of ints
             code = None
-        # an equal tuple of non-ints, such as (1.0,), hits the index too
-        if code is None or (x is not self._element_tuple[code] and not self.contains(x)):
+        # an equal tuple of non-ints, such as (1.0,) or (True,), hits the index
+        # too; a hit is in range, so only the coordinate types are left to test
+        if code is None or (x is not self._element_tuple[code] and tuple(map(type, x)) != (int,) * len(x)):
             raise InvalidInputError(f"{x!r} is not an element of {self}")
         return code
-
-    def intern(self, x: Element) -> Element:
-        """The element tuple equal to ``x``, one object shared by every
-        caller, or ``x`` itself when no element equals it.  Equality is ``==``,
-        so ``(1.0,)`` finds ``(1,)``: intern tuples of ints, and validate with
-        :meth:`encode`."""
-        code = self._index.get(x)
-        return x if code is None else self._element_tuple[code]
 
     def decode(self, code: int) -> Element:
         """The element with code ``code``; the same tuple object on every call."""

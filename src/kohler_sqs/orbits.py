@@ -132,14 +132,18 @@ def _checked_base(g: Group, rep: OrbitRep) -> Codes:
     return _validated_points(g, rep.base)
 
 
-def _expand(g: Group, base: Codes) -> set[Codes]:
+def _expand(g: Group, base: Codes, symmetric: bool = False) -> set[Codes]:
     """Every member of the orbit of ``base``, as sorted code tuples: one
-    translation row per point of ``base`` and of ``-base``."""
-    neg = g.neg_table
-    plus = [g.translation(p) for p in base]
-    minus = [g.translation(neg[p]) for p in base]
-    out = {tuple(sorted(member)) for member in zip(*plus)}
-    out.update(tuple(sorted(member)) for member in zip(*minus))
+    translation row per point of ``base`` and of ``-base``.
+
+    A caller that has checked ``base`` is symmetric passes ``symmetric``:
+    then ``-base + a = base + (x + a)`` for the x with ``-base = base + x``,
+    so the translates of ``base`` are the whole orbit and the rows of
+    ``-base`` are skipped."""
+    out = {tuple(sorted(member)) for member in zip(*map(g.translation, base))}
+    if not symmetric:
+        neg = g.neg_table
+        out.update(tuple(sorted(member)) for member in zip(*(g.translation(neg[p]) for p in base)))
     return out
 
 
@@ -156,11 +160,15 @@ def orbit_size(g: Group, rep: OrbitRep) -> int:
     Counting pairs (x, X) with x in X gives |X| * |orbit| = v * n0 where n0
     is the number of orbit members containing 0.
     """
-    base = _checked_base(g, rep)
+    return _orbit_size(g, _checked_base(g, rep))
+
+
+def _orbit_size(g: Group, base: Codes) -> int:
+    """:func:`orbit_size` of the orbit of ``base``, given as codes."""
     n0 = len(set(_through_zero_candidates(g, base)))
     size, remainder = divmod(g.order * n0, len(base))
     if remainder:
-        raise InvalidInputError(f"orbit size identity failed for {rep.base!r}")
+        raise InvalidInputError(f"orbit size identity failed for {_decoded(g.elements(), base)!r}")
     return size
 
 

@@ -44,6 +44,8 @@ PINNED_STDOUT = {
     # same bytes as its verify inputs
     "construct --group 4,25": (0, "add4c005d9d53e7bbe7bee705ade87b5c7a93b36dd2d9576b354a67d71d3a596"),
     "construct --group 2,2,25": (0, "01eb9e38c132e2a19cf373e2186b60491b79db4f325c2011f506c9fba7034002"),
+    # v >= 200: 643,250 blocks, 24 MB in 158 chunks
+    "construct --group 250": (0, "5f59e0f0180260ae1e880571f7f385e0a4db2563dabe0c47512250973dc06a81"),
 }
 
 
@@ -225,6 +227,37 @@ def test_verify_payload_with_two_faults_exit_1(tmp_path, capsys, fault):
     assert code == 1
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"group": [10.9]},
+        {"group": [10.0]},
+        {"h0": ["5"]},
+        {"h0": [5.0]},
+        {"point": [1.5]},
+        {"point": [1.0]},
+        {"point": [True]},
+    ],
+    ids=repr,
+)
+def test_verify_non_integer_values_exit_1(tmp_path, capsys, edit):
+    # no factor or coordinate is coerced to an integer: each edit reads as
+    # the value it replaces once coerced
+    code, out, _ = run_cli(capsys, "construct", "--group", "10")
+    assert code == 0
+    payload = json.loads(out)
+    if "point" in edit:
+        block = payload["blocks"][0]
+        block[block.index([1])] = edit.pop("point")
+    payload.update(edit)
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_construct_out_writes_the_stdout_bytes(tmp_path, capsys):

@@ -5,12 +5,14 @@ import pytest
 
 from kohler_sqs import (
     ConstructionFailure,
+    InternalInconsistencyError,
     InvalidInputError,
     InvalidOrderError,
+    InvalidSpecError,
     NoInvolutionError,
     make_group,
 )
-from kohler_sqs import engine, kohler, orbits
+from kohler_sqs import engine, kohler, matching, orbits
 from kohler_sqs.engine import (
     B0_TAG,
     Design,
@@ -27,7 +29,7 @@ from kohler_sqs.engine import (
     verify_reversible,
     verify_sqs,
 )
-from kohler_sqs.fixtures import sqs20_blocks, sqs20_group
+from kohler_sqs.fixtures import SQS20_CORE_ORBITS, SQS20_ORBITS, sqs20_blocks, sqs20_group
 from kohler_sqs.groups import MAX_ORDER_ENV_VAR
 from kohler_sqs.kohler import build_graph
 from kohler_sqs.orbits import OrbitRep, canonicalize, classify_triple, expand_orbit
@@ -79,6 +81,7 @@ def test_counting_formulas_and_enumeration(factors, b0, special):
     assert special == 4 * b0
     h0 = choose_h0(g)
     assert len(build_B0(g, h0)) == b0
+    assert engine.count_B0(g, h0) == b0
     enumerated = sum(
         1
         for triple in combinations(g.elements(), 3)
@@ -249,6 +252,23 @@ def test_design_json_round_trip():
     infinite = dict(payload, blocks=[[[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, float("inf")]]])
     with pytest.raises(InvalidInputError):
         design_from_json_dict(infinite)
+    # a factor, h0 coordinate or block coordinate that is not an integer is
+    # refused, not coerced: a float (integral or not), a string or a bool
+    point = [[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, 3]]
+    for bad in (
+        dict(payload, group=[2, 2, 5.9]),
+        dict(payload, group=[2, 2, 5.0]),
+        dict(payload, group=[2, 2, "5"]),
+        dict(payload, h0=[0, "1", 0]),
+        dict(payload, h0=[0, 1.0, 0]),
+        dict(payload, h0=[0, True, 0]),
+        dict(payload, blocks=[point[:3] + [[0, 0, 0.5]]]),
+        dict(payload, blocks=[point[:3] + [[0, 0, 3.0]]]),
+        dict(payload, blocks=[point[:3] + [[0, 0, "3"]]]),
+        dict(payload, blocks=[point[:3] + [[0, True, 3]]]),
+    ):
+        with pytest.raises((InvalidInputError, InvalidSpecError)):
+            design_from_json_dict(bad)
 
 
 def test_determinism_of_construction():
@@ -313,7 +333,7 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 def test_b0_is_built_only_once_a_one_factor_exists(monkeypatch):
-    calls = _count_calls(monkeypatch, engine, "_b0_codes")
+    calls = _count_calls(monkeypatch, engine, "_b0_bases")
     for factors in ([14], [22]):
         with pytest.raises(ConstructionFailure):
             construct_design(make_group(factors))
@@ -460,6 +480,10 @@ def test_symmetry_is_tested_on_blocks_through_zero_only_when_invariant(monkeypat
     g = make_group([4, 25])
     calls = _count_calls(monkeypatch, orbits, "_is_symmetric")
     design = construct_design(g)
+    # construction tests each of its 405 orbit bases once, and no block
+    assert len(calls) == 405
+    calls.clear()
+    assert design.verify().is_reversible is True
     # an SQS(100) has C(99, 2) / 3 blocks through 0
     assert len(calls) == comb(99, 2) // 3 == 1617
     calls.clear()
@@ -468,10 +492,85 @@ def test_symmetry_is_tested_on_blocks_through_zero_only_when_invariant(monkeypat
     assert len(calls) == len(design.codes) - 1
 
 
+def _design_bases(design: Design) -> list:
+    """The orbit bases construction assembled ``design`` from."""
+    g = design.group
+    graph = build_graph(g)
+    factor = matching.one_factor(graph.adjacency)
+    return [base for base, _ in engine._design_bases(g, design.h0, graph, factor)]
+
+
+def _verdicts(g, bases) -> tuple[bool, bool]:
+    """Whether the orbit verifier accepts ``bases``, and whether the block
+    verifier accepts every block of every orbit, an orbit listed twice
+    listing its blocks twice."""
+    sizes = engine._orbit_sizes(g, bases)
+    blocks = tuple(block for base in bases for block in orbits._expand(g, base))
+    report = engine._design_report(g, blocks)
+    if sizes is not None:
+        assert sizes == [len(orbits._expand(g, base)) for base in bases]
+    return sizes is not None, bool(report.is_sqs and report.is_reversible)
+
+
+def _base_mutations(g, bases: list):
+    """``bases`` with its middle base dropped, duplicated, replaced by an
+    asymmetric base, and joined by another member of its orbit."""
+    k = len(bases) // 2
+    yield bases[:k] + bases[k + 1 :]
+    yield bases + [bases[k]]
+    asymmetric = next(
+        (b for b in combinations(range(g.order), 4) if not orbits._is_symmetric(g.add_codes, g.double_table, b)),
+        None,
+    )
+    if asymmetric is not None:
+        yield bases[:k] + [asymmetric] + bases[k + 1 :]
+    other = next((m for m in sorted(orbits._expand(g, bases[k])) if m != bases[k]), None)
+    if other is not None:
+        yield bases + [other]
+
+
+def _sqs20_bases(rows) -> list:
+    g = sqs20_group()
+    return [orbits._canonical(g, (0, *map(g.encode, row))) for row in rows]
+
+
+def test_orbit_verifier_agrees_with_the_block_verifier():
+    for design in constructed_designs(64):
+        g, bases = design.group, _design_bases(design)
+        assert tuple(sorted(b for base in bases for b in orbits._expand(g, base))) == design.codes
+        assert _verdicts(g, bases) == (True, True), str(g)
+        for mutated in _base_mutations(g, bases) if bases else ():
+            assert _verdicts(g, mutated) == (False, False), str(g)
+    g20 = sqs20_group()
+    assert _verdicts(g20, _sqs20_bases(SQS20_ORBITS)) == (True, True)
+    assert _verdicts(g20, _sqs20_bases(SQS20_CORE_ORBITS)) == (False, False)
+    for mutated in _base_mutations(g20, _sqs20_bases(SQS20_ORBITS)):
+        assert _verdicts(g20, mutated) == (False, False)
+    # an SQS(16) invariant under translations and negation whose last two
+    # orbits are asymmetric: only the symmetry test tells it apart
+    rows = (
+        ((0, 2), (2, 0), (2, 2)), ((1, 1), (2, 2), (3, 3)), ((0, 1), (0, 2), (0, 3)), ((1, 3), (2, 2), (3, 1)),
+        ((0, 2), (1, 0), (3, 0)), ((0, 2), (2, 1), (2, 3)), ((0, 1), (1, 1), (1, 2)), ((0, 2), (1, 1), (1, 3)),
+        ((1, 1), (2, 3), (3, 2)), ((0, 1), (1, 0), (2, 1)), ((0, 1), (1, 3), (2, 3)),
+    )
+    bases = [tuple(sorted(map(Z44.encode, ((0, 0), *row)))) for row in rows]
+    report = engine._design_report(Z44, tuple(b for base in bases for b in orbits._expand(Z44, base)))
+    assert report.is_sqs is True and len(report.asymmetric_blocks) == 64
+    assert _verdicts(Z44, bases) == (False, False)
+
+
+def test_construction_refuses_bases_that_fail_the_orbit_verifier(monkeypatch):
+    original = engine._design_bases
+    monkeypatch.setattr(engine, "_design_bases", lambda *args: original(*args)[1:])
+    with pytest.raises(InternalInconsistencyError):
+        construct_design(Z44)
+
+
 def test_verify_design_flags_every_single_block_mutation():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     designs = [d for d in constructed_designs(50) if d.group.order >= 10]
+    bases_of = {design: _design_bases(design) for design in designs}
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @hypothesis.given(
@@ -493,6 +592,21 @@ def test_verify_design_flags_every_single_block_mutation():
             outside = [x for x in g.elements() if x not in block]
             block[point % 4] = outside[code % len(outside)]
             blocks[i] = tuple(block)
+        # the same mutation of the orbit bases: both verifiers reject it, or
+        # (a perturbed base) agree
+        bases = list(bases_of[design])
+        j = index % len(bases)
+        if mutation == "drop":
+            del bases[j]
+        elif mutation == "duplicate":
+            bases.append(bases[j])
+        else:
+            base = list(bases[j])
+            base[point % 4] = [x for x in range(g.order) if x not in base][code % (g.order - 4)]
+            bases[j] = tuple(sorted(base))
+        by_orbits, by_blocks = _verdicts(g, bases)
+        assert by_orbits == by_blocks
+        assert not by_orbits or mutation == "perturb"
         report = verify_design(g, blocks)
         assert not (report.is_sqs and report.is_reversible)
         coverage = coverage_violations_by_counting(g, blocks)

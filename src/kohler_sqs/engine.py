@@ -24,7 +24,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, filterfalse, islice
 from math import comb
 
 from . import kohler, matching, orbits
@@ -277,26 +277,83 @@ def design_from_json_dict(payload: dict) -> Design:
         g = make_group(factors)
         h0 = _validate_h0(g, tuple(payload["h0"]))
         blocks = (map(tuple, block) for block in payload["blocks"])
-        codes = _encode_blocks(g, blocks)  # encodes each block as it is parsed
+        codes = _encode_blocks(g, blocks)
         provenance = tuple(str(p) for p in payload["provenance"])
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed design payload: {exc}") from exc
     return Design(group=g, h0=h0, codes=codes, provenance=provenance)
 
 
+#: blocks per bulk pass when blocks are validated and encoded
+ENCODE_CHUNK = 256
+
+
 def _encode_blocks(g: Group, blocks) -> tuple[Codes, ...]:
-    """Validate each block and return it as a sorted 4-tuple of codes."""
+    """Validate each block and return it as a sorted 4-tuple of codes.
+
+    ``blocks`` is read in chunks of :data:`ENCODE_CHUNK` blocks, each block
+    as a tuple, and a bulk pass encodes each chunk at once.  A chunk that
+    fails one of its checks goes through the per-block loop instead, whose
+    error names the chunk's first bad block: every earlier chunk passed, so
+    that is the first bad block of the input.  Only one chunk's tuples are
+    held at a time."""
+    out: list[Codes] = []
+    blocks = iter(blocks)
+    while True:
+        chunk: list[tuple] = []
+        try:
+            for block in islice(blocks, ENCODE_CHUNK):
+                chunk.append(tuple(block))
+        except TypeError:
+            # a block or point that is not iterable: a bad block before it comes first
+            _encode_each(g, chunk)
+            raise
+        if not chunk:
+            return tuple(out)
+        codes = _encode_bulk(g, chunk)
+        out += _encode_each(g, chunk) if codes is None else codes
+
+
+def _encode_bulk(g: Group, blocks: list[tuple]) -> list[Codes] | None:
+    """The codes of ``blocks``, or None when some block is not four distinct
+    elements.  Each check runs over all blocks at once: four points per
+    block, each a tuple whose coordinates are exactly ``int`` (so neither
+    ``1.0`` nor ``True`` can match an element), then one index lookup per
+    point, and a sort only for a block whose codes are out of order."""
+    points = list(chain.from_iterable(blocks))
+    if (
+        set(map(len, blocks)) - {4}
+        or set(map(type, points)) - {tuple}
+        or set(map(type, chain.from_iterable(points))) - {int}
+    ):
+        return None
+    codes = list(map(g._index.get, points))
+    if None in codes:  # a point of the wrong length or out of range
+        return None
+    out = []
+    quads = iter(codes)
+    for block in zip(quads, quads, quads, quads):
+        if not block[0] < block[1] < block[2] < block[3]:
+            block = tuple(sorted(block))
+            if not block[0] < block[1] < block[2] < block[3]:
+                return None
+        out.append(block)
+    return out
+
+
+def _encode_each(g: Group, blocks: list[tuple]) -> list[Codes]:
+    """:func:`_encode_blocks` one block at a time, raising InvalidInputError
+    for the first block that is not four distinct elements."""
     out = []
     encode = g.encode
-    for block in blocks:
-        b = tuple(block)
+    for b in blocks:
         if len(b) != 4:
             raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
         p, q, r, s = sorted(map(encode, b))
         if not p < q < r < s:
             raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
         out.append((p, q, r, s))
-    return tuple(out)
+    return out
 
 
 def construct_design(g: Group, h0: Element | None = None) -> Design:
@@ -440,8 +497,7 @@ def _orbit_sizes(g: Group, bases: list[Codes]) -> list[int] | None:
     exactly one block when that sum is |τ| for every τ the bases meet and
     those |τ| add up to C(v, 3).  An orbit with n0 members through 0 has
     v·n0/k members, k = 4 for blocks and 3 for triples."""
-    is_symmetric, add, double = orbits._is_symmetric, g.add_codes, g.double_table
-    if len(set(bases)) != len(bases) or not all(is_symmetric(add, double, base) for base in bases):
+    if len(set(bases)) != len(bases) or orbits._asymmetric(g, bases):
         return None
     v, sub, neg = g.order, g.sub_codes, g.neg_table
     sizes = [orbits._orbit_size(g, base) for base in bases]
@@ -467,19 +523,28 @@ def _coverage_violations(g: Group, codes: tuple[Codes, ...]) -> tuple[tuple[Subs
     """Triples covered other than once, with their counts, in lex order.
 
     A triple x < y < z of codes is packed as ``(x*v + y)*v + z``, which keeps
-    lexicographic order."""
+    lexicographic order.  The set of packed triples answers a valid design
+    and, when no triple repeats, lists the missing ones; only a repeated
+    triple needs the counts, and the set is freed before they are made, so
+    that the two are never held together."""
     v = g.order
     packed = []
     for p, q, r, s in codes:
         pq, pr = (p * v + q) * v, (p * v + r) * v
         packed += (pq + r, pq + s, pr + s, (q * v + r) * v + s)
     total = comb(v, 3)
-    if len(packed) == total and len(set(packed)) == total:
-        return ()
-    counts = Counter(packed)
-    violations = [(t, c) for t, c in counts.items() if c != 1]
-    if len(counts) < total:
-        violations.extend((t, 0) for t in _packed_triples(v) if t not in counts)
+    covered: set[int] | Counter[int] = set(packed)
+    if len(covered) == len(packed):
+        if len(packed) == total:
+            return ()
+        violations = []
+    else:
+        del covered
+        covered = Counter(packed)
+        violations = [(t, c) for t, c in covered.items() if c != 1]
+    del packed
+    if len(covered) < total:
+        violations += ((t, 0) for t in filterfalse(covered.__contains__, _packed_triples(v)))
     violations.sort()
     elements = g.elements()
     return tuple(
@@ -488,11 +553,11 @@ def _coverage_violations(g: Group, codes: tuple[Codes, ...]) -> tuple[tuple[Subs
 
 
 def _packed_triples(v: int):
-    """Every packed triple x < y < z < v, in increasing order."""
-    for x in range(v):
-        for y in range(x + 1, v):
-            start = (x * v + y) * v
-            yield from range(start + y + 1, start + v)
+    """Every packed triple x < y < z < v, in increasing order: one range of z
+    per pair x < y."""
+    return chain.from_iterable(
+        range((x * v + y) * v + y + 1, (x * v + y + 1) * v) for x in range(v) for y in range(x + 1, v)
+    )
 
 
 def _reversibility_violations(
@@ -504,11 +569,12 @@ def _reversibility_violations(
 
     A block is looked up by its bitmask ``bit[p] | bit[q] | bit[r] | bit[s]``
     with ``bit[x] = 1 << x``: four distinct codes give one mask in any order,
-    so an image needs no sort.  Once every image is present the set is
-    invariant under all translations and negation, both of which preserve
-    symmetry, and every block has a translate through code 0; so the blocks
-    through 0 are all symmetric exactly when every block is, and only they are
-    tested.  Otherwise every block is tested, to list the asymmetric ones."""
+    so an image needs no sort.  One pass per map collects the blocks whose
+    image is missing.  Once every image is present the set is invariant under
+    all translations and negation, both of which preserve symmetry, and every
+    block has a translate through code 0; so the blocks through 0 are all
+    symmetric exactly when every block is, and only they are tested.
+    Otherwise every block is tested, to list the asymmetric ones."""
     bit = [1 << x for x in range(g.order)]
     present = {bit[p] | bit[q] | bit[r] | bit[s] for p, q, r, s in codes}
     images = []
@@ -518,20 +584,17 @@ def _reversibility_violations(
         row = g.translation(g.encode(tuple(gen)))
         images.append((f"translate+{tuple(gen)}", [bit[y] for y in row]))
     images.append(("negate", [bit[y] for y in g.neg_table]))
-    is_symmetric, add, double = orbits._is_symmetric, g.add_codes, g.double_table
-    if all(
-        present.issuperset(image[p] | image[q] | image[r] | image[s] for p, q, r, s in codes)
-        for _, image in images
-    ) and all(is_symmetric(add, double, b) for b in codes if b[0] == 0):
-        return (), ()
-    ordered = sorted(set(codes))
-    elements = g.elements()
-    asymmetric = tuple(orbits._decoded(elements, b) for b in ordered if not is_symmetric(add, double, b))
-    violations = tuple(
-        (orbits._decoded(elements, (p, q, r, s)), label)
-        for p, q, r, s in ordered
+    missing = [
+        (label, {(p, q, r, s) for p, q, r, s in codes if image[p] | image[q] | image[r] | image[s] not in present})
         for label, image in images
-        if image[p] | image[q] | image[r] | image[s] not in present
+    ]
+    violators = set().union(*(blocks for _, blocks in missing))
+    if not violators and not orbits._asymmetric(g, [b for b in codes if b[0] == 0]):
+        return (), ()
+    elements = g.elements()
+    asymmetric = tuple(orbits._decoded(elements, b) for b in sorted(set(orbits._asymmetric(g, codes))))
+    violations = tuple(
+        (orbits._decoded(elements, b), label) for b in sorted(violators) for label, blocks in missing if b in blocks
     )
     return asymmetric, violations
 

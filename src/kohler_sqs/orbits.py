@@ -235,20 +235,36 @@ def classify_triple(g: Group, rep: OrbitRep) -> str:
     return _classify_triple(g.neg_table, g.double_table, a, b)
 
 
-def _is_symmetric(add, double, block: Codes) -> bool:
-    """Is B = -B + x for some x, for a block of four codes?
+def _asymmetric(g: Group, blocks) -> list[Codes]:
+    """The blocks of four codes that are not symmetric, in the order given.
 
-    y -> x - y is then an involution of B: its 2-cycles {y, z} have y + z = x and
-    its fixed points have 2y = x.  So either two pairs of B have equal sums,
-    or one pair sums to the equal doubles of the other two, or all four
-    doubles are equal.
-    """
-    p, q, r, s = block
-    for (w, x), (y, z) in (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r))):
-        first, second = add(w, x), add(y, z)
-        if first == second or double[y] == double[z] == first or double[w] == double[x] == second:
-            return True
-    return double[p] == double[q] == double[r] == double[s]
+    B = -B + x for some x exactly when y -> x - y is an involution of B: its
+    2-cycles {y, z} have y + z = x and its fixed points have 2y = x.  So B is
+    symmetric when two pairs of B have equal sums, or one pair sums to the
+    equal doubles of the other two, or all four doubles are equal.  The six
+    pair sums are read from the group's spread and fold tables (see
+    :meth:`Group.add_codes`), without a call per sum."""
+    spread, fold, double = g._spread, g._fold, g.double_table
+    out = []
+    for block in blocks:
+        p, q, r, s = block
+        a, b, c, d = spread[p], spread[q], spread[r], spread[s]
+        pq, rs, pr, qs, ps, qr = fold[a + b], fold[c + d], fold[a + c], fold[b + d], fold[a + d], fold[b + c]
+        dp, dq, dr, ds = double[p], double[q], double[r], double[s]
+        if not (
+            pq == rs
+            or pr == qs
+            or ps == qr
+            or dr == ds == pq
+            or dp == dq == rs
+            or dq == ds == pr
+            or dp == dr == qs
+            or dq == dr == ps
+            or dp == ds == qr
+            or dp == dq == dr == ds
+        ):
+            out.append(block)
+    return out
 
 
 def is_symmetric_block(g: Group, block) -> bool:
@@ -256,4 +272,4 @@ def is_symmetric_block(g: Group, block) -> bool:
     pts = _validated_points(g, block)
     if len(pts) != 4:
         raise InvalidInputError("is_symmetric_block needs a 4-element block")
-    return _is_symmetric(g.add_codes, g.double_table, pts)
+    return not _asymmetric(g, [pts])

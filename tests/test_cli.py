@@ -73,6 +73,8 @@ PINNED_VERIFY = {
     ("50", "drop"): (3, "69f8fc534099ff7b6dc37f6748580f8419935ec1a36e46dfaf071e8a6ee741e7"),
     ("50", "dup"): (3, "670f428399a6dccfb56d4425d3cfe16754a7bc01dd54f5af12f366404027b4d7"),
     ("50", "move"): (3, "ebfcdc6be853df9054baea75f2260cabc5db2c5561ea0c6ccebec112e9e590ab"),
+    # v = 100: missing and over-covered triples among C(100, 3) = 161,700
+    ("4,25", "move"): (3, "7f2e91300c286c680b510475bc2e907f42b8e7b7ff0a19580ec6951ce179e2cd"),
 }
 
 

@@ -43,6 +43,7 @@ from util import (
     coverage_violations_by_counting,
     design_json_dict,
     factor_edge_indices,
+    is_symmetric,
     quadruple_orbit_reps,
     reversibility_violations_by_sorting,
 )
@@ -271,6 +272,131 @@ def test_design_json_round_trip():
             design_from_json_dict(bad)
 
 
+# Edits of the Z2xZ2xZ5 design's JSON (285 blocks), each a list of (path,
+# value) pairs, with the error that ``design_from_json_dict`` raised for it
+# when every block went through the per-block loop.  Block 270 is
+# [[1,0,1],[1,0,3],[1,0,4],[1,1,1]] and block 100 is
+# [[0,0,1],[0,1,4],[1,0,0],[1,0,4]]; with two faults the first is named.
+JSON_FAULTS = {
+    "bool": ([(("blocks", 270, 1, 2), True)], "(1, 0, True) is not an element of Z2xZ2xZ5"),
+    "float": ([(("blocks", 270, 1, 2), 0.5)], "(1, 0, 0.5) is not an element of Z2xZ2xZ5"),
+    "integral-float": ([(("blocks", 270, 1, 2), 1.0)], "(1, 0, 1.0) is not an element of Z2xZ2xZ5"),
+    "string": ([(("blocks", 270, 1, 2), "1")], "(1, 0, '1') is not an element of Z2xZ2xZ5"),
+    "short-point": ([(("blocks", 270, 1), [0, 1])], "(0, 1) is not an element of Z2xZ2xZ5"),
+    "long-point": ([(("blocks", 270, 1), [0, 0, 1, 0])], "(0, 0, 1, 0) is not an element of Z2xZ2xZ5"),
+    "out-of-range": ([(("blocks", 270, 1, 2), 5)], "(1, 0, 5) is not an element of Z2xZ2xZ5"),
+    "negative": ([(("blocks", 270, 1, 2), -1)], "(1, 0, -1) is not an element of Z2xZ2xZ5"),
+    "3-point": (
+        [(("blocks", 270), [[1, 0, 1], [1, 0, 3], [1, 0, 4]])],
+        "blocks must have 4 distinct elements: ((1, 0, 1), (1, 0, 3), (1, 0, 4))",
+    ),
+    "5-point": (
+        [(("blocks", 270), [[1, 0, 1], [1, 0, 3], [1, 0, 4], [1, 1, 1], [1, 1, 4]])],
+        "blocks must have 4 distinct elements: ((1, 0, 1), (1, 0, 3), (1, 0, 4), (1, 1, 1), (1, 1, 4))",
+    ),
+    "repeated-point": (
+        [(("blocks", 270, 1), [1, 0, 1])],
+        "blocks must have 4 distinct elements: ((1, 0, 1), (1, 0, 1), (1, 0, 4), (1, 1, 1))",
+    ),
+    "unsorted-repeated-point": (
+        [(("blocks", 270), [[0, 0, 3], [0, 0, 1], [0, 0, 3], [0, 0, 2]])],
+        "blocks must have 4 distinct elements: ((0, 0, 3), (0, 0, 1), (0, 0, 3), (0, 0, 2))",
+    ),
+    "block-number": ([(("blocks", 270), 7)], "malformed design payload: 'int' object is not iterable"),
+    "block-null": ([(("blocks", 270), None)], "malformed design payload: 'NoneType' object is not iterable"),
+    "block-object": ([(("blocks", 270), {"a": 1, "b": 2, "c": 3, "d": 4})], "('a',) is not an element of Z2xZ2xZ5"),
+    "point-number": ([(("blocks", 270, 1), 3)], "malformed design payload: 'int' object is not iterable"),
+    "point-null": ([(("blocks", 270, 1), None)], "malformed design payload: 'NoneType' object is not iterable"),
+    "point-object": (
+        [(("blocks", 270, 1), {"x": 0, "y": 0, "z": 1})],
+        "('x', 'y', 'z') is not an element of Z2xZ2xZ5",
+    ),
+    "blocks-number": ([(("blocks",), 7)], "malformed design payload: 'int' object is not iterable"),
+    "blocks-object": ([(("blocks",), {"a": 1})], "blocks must have 4 distinct elements: (('a',),)"),
+    "blocks-null": ([(("blocks",), None)], "malformed design payload: 'NoneType' object is not iterable"),
+    "short-block-then-point-number": (
+        [(("blocks", 100), [[0, 0, 1], [0, 1, 4], [1, 0, 0]]), (("blocks", 270, 1), 3)],
+        "blocks must have 4 distinct elements: ((0, 0, 1), (0, 1, 4), (1, 0, 0))",
+    ),
+    "point-number-then-short-block": (
+        [(("blocks", 100, 1), 3), (("blocks", 270), [[1, 0, 1], [1, 0, 3], [1, 0, 4]])],
+        "malformed design payload: 'int' object is not iterable",
+    ),
+    "float-then-block-number": (
+        [(("blocks", 100, 0, 0), 0.0), (("blocks", 270), 5)],
+        "(0.0, 0, 1) is not an element of Z2xZ2xZ5",
+    ),
+    "repeated-point-then-point-null": (
+        [(("blocks", 20, 2), [0, 0, 3]), (("blocks", 40, 0), None)],
+        "blocks must have 4 distinct elements: ((0, 0, 0), (0, 0, 3), (0, 0, 3), (1, 0, 2))",
+    ),
+    "bool-after-out-of-range": (
+        [(("blocks", 30, 2, 1), True), (("blocks", 20, 3, 2), 9)],
+        "(1, 0, 9) is not an element of Z2xZ2xZ5",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(JSON_FAULTS))
+def test_design_from_json_names_the_first_fault(monkeypatch, fault):
+    # the bulk pass words no error: whatever the chunk size, the per-block
+    # loop names the first bad block, with the message it always had
+    payload = design_json_dict(construct_design(Z225))
+    edits, message = JSON_FAULTS[fault]
+    for path, value in edits:
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    for chunk in (3, 100, engine.ENCODE_CHUNK):
+        monkeypatch.setattr(engine, "ENCODE_CHUNK", chunk)
+        with pytest.raises(InvalidInputError) as exc:
+            design_from_json_dict(payload)
+        assert str(exc.value) == message, chunk
+
+
+def test_bulk_encoding_agrees_with_the_per_block_loop():
+    g20 = sqs20_group()
+    cases = [(d.group, list(d.blocks)) for d in constructed_designs(64)]
+    cases.append((g20, sorted(sqs20_blocks())))
+    for g, blocks in cases:
+        # as given (sorted), with each block's points reversed and rotated
+        for mutated in (blocks, [b[::-1] for b in blocks], [b[1:] + b[:1] for b in blocks]):
+            bulk = engine._encode_bulk(g, mutated)
+            assert bulk is not None and bulk == engine._encode_each(g, mutated), str(g)
+            assert engine._encode_blocks(g, mutated) == tuple(bulk)
+    for design in constructed_designs(64):
+        assert design_from_json_dict(design_json_dict(design)).codes == design.codes
+
+
+def test_public_verifiers_take_any_iterable_of_tuple_blocks():
+    design = construct_design(Z10)
+    b0 = build_B0(Z10, design.h0)  # a frozenset
+    for verify in (verify_sqs, verify_reversible, verify_design):
+        for blocks in (design.blocks, design.blocks[1:], b0):
+            expected = verify(Z10, tuple(blocks))
+            assert verify(Z10, blocks) == expected
+            assert verify(Z10, (block for block in blocks)) == expected
+            assert verify(Z10, [iter(block) for block in blocks]) == expected
+        # only the JSON path reads a list as a point
+        with pytest.raises(InvalidInputError) as exc:
+            verify(Z10, design.blocks[:3] + (((0,), (1,), [3], (4,)),))
+        assert str(exc.value) == "[3] is not an element of Z10"
+
+
+def test_coverage_listing_agrees_with_counting():
+    g = make_group([4, 25])
+    design = construct_design(g)
+    kinds = []
+    for codes in _single_block_mutations(design.codes, g.order):
+        got = engine._coverage_violations(g, codes)
+        assert got == coverage_violations_by_counting(g, [tuple(map(g.decode, b)) for b in codes])
+        kinds.append((any(c == 0 for _, c in got), any(c > 1 for _, c in got)))
+    # a dropped block only leaves triples missing, a duplicated one only
+    # over-covers, and a moved point does both
+    assert kinds == [(True, False), (False, True), (True, True)]
+
+
 def test_determinism_of_construction():
     assert construct_design(Z225) == construct_design(Z225)
     assert construct_design(Z20) == construct_design(Z20)
@@ -478,7 +604,15 @@ def test_reversibility_kernel_agrees_with_the_sorting_reference():
 
 def test_symmetry_is_tested_on_blocks_through_zero_only_when_invariant(monkeypatch):
     g = make_group([4, 25])
-    calls = _count_calls(monkeypatch, orbits, "_is_symmetric")
+    calls = []
+    original = orbits._asymmetric
+
+    def counted(group, blocks):
+        blocks = list(blocks)
+        calls.extend(blocks)
+        return original(group, blocks)
+
+    monkeypatch.setattr(orbits, "_asymmetric", counted)
     design = construct_design(g)
     # construction tests each of its 405 orbit bases once, and no block
     assert len(calls) == 405
@@ -519,7 +653,7 @@ def _base_mutations(g, bases: list):
     yield bases[:k] + bases[k + 1 :]
     yield bases + [bases[k]]
     asymmetric = next(
-        (b for b in combinations(range(g.order), 4) if not orbits._is_symmetric(g.add_codes, g.double_table, b)),
+        (b for b in combinations(range(g.order), 4) if not is_symmetric(g, b)),
         None,
     )
     if asymmetric is not None:

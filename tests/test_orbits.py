@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from kohler_sqs import InvalidInputError, make_group
+from kohler_sqs import orbits
 from kohler_sqs.orbits import (
     QUAD_Q1,
     QUAD_Q3,
@@ -23,6 +24,7 @@ from util import (
     QUAD_ASYMMETRIC,
     QUAD_E,
     classify_quadruple,
+    is_symmetric,
     quadruple_orbit_reps,
     through_zero_sets,
     triple_orbit_reps,
@@ -135,6 +137,15 @@ def test_is_symmetric_block_examples():
     block = ((0, 0, 0), (0, 0, 1), (0, 1, 4), (0, 1, 0))
     assert is_symmetric_block(Z225, block) is True
     assert is_symmetric_block(Z10, t(0, 1, 2, 4)) is False
+
+
+def test_batched_symmetry_kernel_agrees_with_the_reference():
+    for g in (Z10, make_group([16]), Z44, make_group([2, 2, 2, 2]), Z225, make_group([2, 8])):
+        blocks = list(combinations(range(g.order), 4))
+        asymmetric = orbits._asymmetric(g, blocks)
+        assert asymmetric == [b for b in blocks if not is_symmetric(g, b)], str(g)
+        # in an elementary abelian 2-group -B = B, so every block is symmetric
+        assert len(asymmetric) < len(blocks) and bool(asymmetric) == (g.factors != (2, 2, 2, 2))
 
 
 def test_canonicalization_constant_on_orbit_images():

@@ -297,15 +297,31 @@ def design_json_dict(design: Design) -> dict:
     }
 
 
+def is_symmetric(g: Group, block: Codes) -> bool:
+    """The reference for ``orbits._asymmetric``, one block of four codes at
+    a time: is B = -B + x for some x?
+
+    y -> x - y is then an involution of B: its 2-cycles {y, z} have y + z = x and
+    its fixed points have 2y = x.  So either two pairs of B have equal sums,
+    or one pair sums to the equal doubles of the other two, or all four
+    doubles are equal.
+    """
+    add, double = g.add_codes, g.double_table
+    p, q, r, s = block
+    for (w, x), (y, z) in (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r))):
+        first, second = add(w, x), add(y, z)
+        if first == second or double[y] == double[z] == first or double[w] == double[x] == second:
+            return True
+    return double[p] == double[q] == double[r] == double[s]
+
+
 def reversibility_violations_by_sorting(g: Group, codes: tuple[Codes, ...]):
     """The reference for ``engine._reversibility_violations``: every block is
     tested for symmetry, and each image is sorted and looked up as a tuple."""
     block_set = set(codes)
     ordered = sorted(block_set)
-    add, neg, double, elements = g.add_codes, g.neg_table, g.double_table, g.elements()
-    asymmetric = tuple(
-        orbits._decoded(elements, b) for b in ordered if not orbits._is_symmetric(add, double, b)
-    )
+    neg, elements = g.neg_table, g.elements()
+    asymmetric = tuple(orbits._decoded(elements, b) for b in ordered if not is_symmetric(g, b))
     generators = []
     for i in range(len(g.factors)):
         gen = [0] * len(g.factors)

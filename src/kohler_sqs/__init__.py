@@ -17,8 +17,6 @@ from .engine import (
     design_from_json_dict,
     existence_check,
     verify_design,
-    verify_reversible,
-    verify_sqs,
 )
 from .errors import (
     CapacityError,
@@ -35,12 +33,8 @@ from .matching import Matching, NoPerfectMatching, maximum_matching, one_factor
 from .orbits import (
     OrbitRep,
     canonicalize,
-    classify_triple,
     expand_orbit,
-    in_E,
-    in_T,
     is_symmetric_block,
-    orbit_size,
 )
 
 __all__ = [
@@ -65,7 +59,6 @@ __all__ = [
     "build_graph",
     "canonicalize",
     "choose_h0",
-    "classify_triple",
     "construct_design",
     "count_B0_formula",
     "count_special_triples_formula",
@@ -73,17 +66,12 @@ __all__ = [
     "existence_check",
     "expand_orbit",
     "graph_stats",
-    "in_E",
-    "in_T",
     "is_symmetric_block",
     "make_group",
     "maximum_matching",
     "one_factor",
-    "orbit_size",
     "parse_group_spec",
     "verify_design",
-    "verify_reversible",
-    "verify_sqs",
 ]
 
 __version__ = "0.1.0"

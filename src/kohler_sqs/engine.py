@@ -35,7 +35,7 @@ from .errors import (
     NoInvolutionError,
 )
 from .groups import Element, Group, make_group, max_order_limit
-from .orbits import Codes, OrbitRep, Subset
+from .orbits import Codes, Subset
 
 Block = Subset
 
@@ -114,13 +114,6 @@ def _b0_bases(g: Group, h0: Element) -> dict[Codes, str]:
         s = g.add_codes(h, hp)
         bases.setdefault(orbits._canonical_edge(neg, h, hp, s, s), orbits.QUAD_Q3)
     return bases
-
-
-def b0_orbit_reps(g: Group, h0: Element) -> dict[OrbitRep, str]:
-    """Canonical representatives of the forced orbits, tagged Q1/Q2/Q3."""
-    bases = _b0_bases(g, h0)
-    elements = g.elements()
-    return {OrbitRep(g, orbits._decoded(elements, base)): tag for base, tag in bases.items()}
 
 
 def build_B0(g: Group, h0: Element) -> frozenset[Block]:
@@ -421,10 +414,10 @@ def _design_bases(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the design axioms; None means the aspect was not checked."""
+    """Outcome of the design axioms, with the violations behind each verdict."""
 
-    is_sqs: bool | None = None
-    is_reversible: bool | None = None
+    is_sqs: bool
+    is_reversible: bool
     triple_coverage_violations: tuple[tuple[Subset, int], ...] = ()
     asymmetric_blocks: tuple[Block, ...] = ()
     invariance_violations: tuple[tuple[Block, str], ...] = ()
@@ -445,34 +438,14 @@ class VerificationReport:
         }
 
 
-def verify_sqs(g: Group, blocks) -> VerificationReport:
-    """Exact triple-coverage check: every 3-subset in exactly one block.
-
-    Over- and under-covered triples are reported with their counts (0 for
-    missing triples).
-    """
-    violations = _coverage_violations(g, _encode_blocks(g, blocks))
-    return VerificationReport(is_sqs=not violations, triple_coverage_violations=violations)
-
-
-def verify_reversible(g: Group, blocks) -> VerificationReport:
-    """Check that every block is symmetric and the block set is invariant
-    under the coordinate generators and negation (hence under the whole
-    translation/negation group)."""
-    asymmetric, violations = _reversibility_violations(g, _encode_blocks(g, blocks))
-    return VerificationReport(
-        is_reversible=not asymmetric and not violations,
-        asymmetric_blocks=asymmetric,
-        invariance_violations=violations,
-    )
-
-
 def verify_design(g: Group, blocks) -> VerificationReport:
     """Full verification: coverage plus reversibility."""
     return _design_report(g, _encode_blocks(g, blocks))
 
 
 def _design_report(g: Group, codes: tuple[Codes, ...]) -> VerificationReport:
+    # a group over the limit is refused before any Θ(v³) triple work
+    g.check_capacity()
     coverage = _coverage_violations(g, codes)
     asymmetric, violations = _reversibility_violations(g, codes)
     return VerificationReport(

@@ -154,17 +154,9 @@ def expand_orbit(g: Group, rep: OrbitRep) -> set[Subset]:
     return {_decoded(elements, member) for member in members}
 
 
-def orbit_size(g: Group, rep: OrbitRep) -> int:
-    """Orbit cardinality via the through-0 counting identity.
-
-    Counting pairs (x, X) with x in X gives |X| * |orbit| = v * n0 where n0
-    is the number of orbit members containing 0.
-    """
-    return _orbit_size(g, _checked_base(g, rep))
-
-
 def _orbit_size(g: Group, base: Codes) -> int:
-    """:func:`orbit_size` of the orbit of ``base``, given as codes."""
+    """Size of the orbit of ``base``: counting pairs (x, X) with x in X gives
+    |X| * |orbit| = v * n0, n0 the number of members through 0."""
     n0 = len(set(_through_zero_candidates(g, base)))
     size, remainder = divmod(g.order * n0, len(base))
     if remainder:
@@ -173,6 +165,8 @@ def _orbit_size(g: Group, base: Codes) -> int:
 
 
 def _in_T(neg, double, a: int, b: int) -> bool:
+    """Is the orbit of {0, a, b} in the vertex family T: a != +-b, 2a not in
+    {0, b, 2b} and 2b not in {0, a}?  The same for every through-0 pair."""
     if a == neg[b]:
         return False
     ta, tb = double[a], double[b]
@@ -180,6 +174,8 @@ def _in_T(neg, double, a: int, b: int) -> bool:
 
 
 def _in_E(neg, double, a: int, b: int) -> bool:
+    """Is the orbit of {0, a, b, a+b} in the edge family E: 0 not in
+    {2a, 2b} and {+-a, +-2a} disjoint from {+-b, +-2b}?"""
     ta, tb = double[a], double[b]
     if ta == 0 or tb == 0:
         return False
@@ -188,51 +184,15 @@ def _in_E(neg, double, a: int, b: int) -> bool:
     return b not in left and tb not in left
 
 
-def in_T(g: Group, a: Element, b: Element) -> bool:
-    """Does the orbit of {0, a, b} belong to the vertex family T?
-
-    Tests a != +-b, 2a not in {0, b, 2b} and 2b not in {0, a, 2a}; the answer
-    is independent of which through-0 pair of the orbit is supplied.
-    """
-    x, y = g.encode(a), g.encode(b)
-    if x == 0 or y == 0 or x == y:
-        raise InvalidInputError("in_T needs two distinct nonzero elements")
-    return _in_T(g.neg_table, g.double_table, x, y)
-
-
-def in_E(g: Group, a: Element, b: Element) -> bool:
-    """Does the orbit of {0, a, b, a+b} belong to the edge family E?
-
-    Tests 0 not in {2a, 2b} and {+-a, +-2a} disjoint from {+-b, +-2b};
-    orbit-invariant for the same reason as :func:`in_T`.
-    """
-    x, y = g.encode(a), g.encode(b)
-    if x == 0 or y == 0 or x == y or g.add_codes(x, y) == 0:
-        raise InvalidInputError("in_E needs {0, a, b, a+b} to have four distinct elements")
-    return _in_E(g.neg_table, g.double_table, x, y)
-
-
 def _classify_triple(neg, double, a: int, b: int) -> str:
+    """The family of the orbit of {0, a, b}: T1 wins where T1 and T2 overlap
+    ({0, a, -a} with 4a = 0), and T is disjoint from both."""
     ta, tb = double[a], double[b]
     if b == neg[a] or a == tb or ta == b:
         return TRIPLE_T1
     if ta == 0 or tb == 0 or ta == tb:
         return TRIPLE_T2
     return TRIPLE_T
-
-
-def classify_triple(g: Group, rep: OrbitRep) -> str:
-    """Classify a triple orbit as T1, T2 or T.
-
-    T1 and T2 can overlap (the orbit of {0, a, -a} with a killed by 4 is
-    also of T2 shape); T1 wins the tag in that case.  T is disjoint from
-    both, so exactly one tag comes back.
-    """
-    base = _checked_base(g, rep)
-    if len(base) != 3:
-        raise InvalidInputError("classify_triple needs a triple orbit")
-    _, a, b = base
-    return _classify_triple(g.neg_table, g.double_table, a, b)
 
 
 def _asymmetric(g: Group, blocks) -> list[Codes]:

@@ -9,7 +9,7 @@ import random
 import time
 from itertools import combinations
 
-from kohler_sqs import cli, make_group
+from kohler_sqs import cli, make_group, orbits
 from kohler_sqs.engine import (
     build_B0,
     choose_h0,
@@ -19,7 +19,6 @@ from kohler_sqs.engine import (
     count_special_triples,
     count_special_triples_formula,
     verify_design,
-    verify_sqs,
 )
 from kohler_sqs.fixtures import (
     SQS20_COMPLETION_ORBIT,
@@ -30,15 +29,7 @@ from kohler_sqs.fixtures import (
 )
 from kohler_sqs.kohler import build_graph
 from kohler_sqs.matching import NoPerfectMatching, components, maximum_matching, one_factor
-from kohler_sqs.orbits import (
-    QUAD_Q2,
-    canonicalize,
-    classify_triple,
-    expand_orbit,
-    in_T,
-    is_symmetric_block,
-    orbit_size,
-)
+from kohler_sqs.orbits import QUAD_Q2, OrbitRep, canonicalize, expand_orbit, is_symmetric_block
 
 from util import (
     QUAD_ASYMMETRIC,
@@ -48,6 +39,7 @@ from util import (
     b0_blocks,
     brute_force_matching_size,
     classify_quadruple,
+    in_T_by_definition,
     is_bipartite,
     isolated_by_characterization,
     quadruple_orbit_reps,
@@ -137,14 +129,15 @@ def test_criterion_4_counting_oracle():
         for v in (10, 14, 16, 20, 22, 26, 28):
             for g in abelian_groups_of_order(v):
                 h0 = choose_h0(g)
+                neg, double = g.neg_table, g.double_table
                 formula_b0 = count_B0_formula(g)
                 formula_special = count_special_triples_formula(g)
                 assert formula_special == 4 * formula_b0, g.factors
 
                 enumerated_special = sum(
                     1
-                    for triple in combinations(g.elements(), 3)
-                    if classify_triple(g, canonicalize(g, triple)) in ("T1", "T2")
+                    for triple in combinations(range(g.order), 3)
+                    if orbits._classify_triple(neg, double, *orbits._canonical(g, triple)[1:]) in ("T1", "T2")
                 )
                 assert enumerated_special == formula_special, g.factors
                 assert count_special_triples(g) == enumerated_special, g.factors
@@ -166,10 +159,8 @@ def test_criterion_4_counting_oracle():
                 for block in forced:
                     for triple in combinations(block, 3):
                         cover[triple] = cover.get(triple, 0) + 1
-                        assert classify_triple(g, canonicalize(g, triple)) in (
-                            "T1",
-                            "T2",
-                        ), (g.factors, triple)
+                        _, a, b = orbits._canonical(g, tuple(map(g.encode, triple)))
+                        assert orbits._classify_triple(neg, double, a, b) in ("T1", "T2"), (g.factors, triple)
                 assert all(c == 1 for c in cover.values()), g.factors
                 assert len(cover) == formula_special, g.factors
         assert time.perf_counter() - start < 60.0
@@ -182,7 +173,8 @@ def test_criterion_5_reference_sqs20():
         g = sqs20_group()
         core = sqs20_core_blocks()
         assert len(core) == 265
-        report = verify_sqs(g, sorted(core))
+        report = verify_design(g, sorted(core))
+        assert report.is_sqs is False
         uncovered = {t for t, c in report.triple_coverage_violations if c == 0}
         overcovered = [t for t, c in report.triple_coverage_violations if c > 1]
         assert len(uncovered) == 80
@@ -278,15 +270,16 @@ def test_criterion_7_property_suite():
                 assert all(c == 1 for c in cover.values()), (g.factors, edge.base)
 
             for base in triple_orbit_reps(g):
-                rep = canonicalize(g, base)
-                assert orbit_size(g, rep) == len(expand_orbit(g, rep)), (g.factors, base)
+                size = orbits._orbit_size(g, tuple(map(g.encode, base)))
+                assert size == len(expand_orbit(g, OrbitRep(g, base))), (g.factors, base)
 
             h0 = None
             if g.order % 2 == 0:
                 h0 = choose_h0(g)
             for base in quadruple_orbit_reps(g):
-                rep = canonicalize(g, base)
-                assert orbit_size(g, rep) == len(expand_orbit(g, rep)), (g.factors, base)
+                rep = OrbitRep(g, base)
+                size = orbits._orbit_size(g, tuple(map(g.encode, base)))
+                assert size == len(expand_orbit(g, rep)), (g.factors, base)
                 tag = classify_quadruple(g, rep, h0)
                 assert (tag != QUAD_ASYMMETRIC) == is_symmetric_block(g, base), (
                     g.factors,
@@ -298,7 +291,7 @@ def test_criterion_7_property_suite():
                 nonzero = [x for x in sorted(sub) if x != g.zero]
                 image = set()
                 for a, b in combinations(nonzero, 2):
-                    if in_T(g, a, b):
+                    if in_T_by_definition(g, a, b):
                         image.add(canonicalize(g, (g.zero, a, b)).base)
                 assert image <= vertex_bases, (g.factors, len(sub))
                 for base in image:
@@ -310,7 +303,7 @@ def test_criterion_7_property_suite():
                     _, a, b = base
                     inner = set()
                     for c, d in ((a, g.add(a, b)), (b, g.sub(a, b)), (a, g.sub(b, a))):
-                        if d != g.zero and d != c and in_T(g, c, d):
+                        if d != g.zero and d != c and in_T_by_definition(g, c, d):
                             inner.add(canonicalize(g, (g.zero, c, d)).base)
                     assert inner == ambient, (g.factors, base)
                     assert inner <= image, (g.factors, base)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -377,7 +378,7 @@ def test_output_is_byte_identical_across_processes():
     assert runs[0] == runs[1]
 
 
-def test_capacity_env_var(capsys, monkeypatch):
+def test_capacity_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KOHLER_SQS_MAX_V", "10")
     code, _, err = run_cli(capsys, "graph", "--group", "16")
     assert code == 1
@@ -385,6 +386,34 @@ def test_capacity_env_var(capsys, monkeypatch):
     monkeypatch.setenv("KOHLER_SQS_MAX_V", "100")
     code, _, _ = run_cli(capsys, "graph", "--group", "16")
     assert code == 0
+    # a design with no blocks is refused before any triple is listed
+    monkeypatch.setenv("KOHLER_SQS_MAX_V", "20")
+    coverage_calls = []
+    monkeypatch.setattr(engine, "_coverage_violations", lambda *args: coverage_calls.append(args))
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"group": [22], "h0": [11], "blocks": [], "provenance": []}))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    assert "exceeds" in err
+    assert coverage_calls == []
+
+
+def test_verify_restores_the_collector(tmp_path, capsys):
+    good, bad, invalid = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "invalid.json"
+    good.write_text(json.dumps({"group": [4], "h0": [2], "blocks": [[[0], [1], [2], [3]]], "provenance": ["B0"]}))
+    bad.write_text("not json")
+    invalid.write_text(json.dumps({"group": [4], "h0": [1], "blocks": [], "provenance": []}))
+    assert gc.isenabled()
+    for path, expected in ((good, 0), (bad, 1), (invalid, 1)):
+        assert run_cli(capsys, "verify", str(path))[0] == expected
+        assert gc.isenabled(), path.name
+    # a collector that was off stays off
+    gc.disable()
+    try:
+        assert run_cli(capsys, "verify", str(good))[0] == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_help_exits_zero(capsys):

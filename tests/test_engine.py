@@ -16,7 +16,6 @@ from kohler_sqs import engine, kohler, matching, orbits
 from kohler_sqs.engine import (
     B0_TAG,
     Design,
-    b0_orbit_reps,
     build_B0,
     choose_h0,
     condition_iv_diagnostics,
@@ -26,13 +25,11 @@ from kohler_sqs.engine import (
     design_from_json_dict,
     existence_check,
     verify_design,
-    verify_reversible,
-    verify_sqs,
 )
 from kohler_sqs.fixtures import SQS20_CORE_ORBITS, SQS20_ORBITS, sqs20_blocks, sqs20_group
 from kohler_sqs.groups import MAX_ORDER_ENV_VAR
 from kohler_sqs.kohler import build_graph
-from kohler_sqs.orbits import OrbitRep, canonicalize, classify_triple, expand_orbit
+from kohler_sqs.orbits import OrbitRep, canonicalize, expand_orbit
 
 from util import (
     QUAD_ASYMMETRIC,
@@ -85,8 +82,8 @@ def test_counting_formulas_and_enumeration(factors, b0, special):
     assert engine.count_B0(g, h0) == b0
     enumerated = sum(
         1
-        for triple in combinations(g.elements(), 3)
-        if classify_triple(g, canonicalize(g, triple)) in ("T1", "T2")
+        for triple in combinations(range(g.order), 3)
+        if orbits._classify_triple(g.neg_table, g.double_table, *orbits._canonical(g, triple)[1:]) in ("T1", "T2")
     )
     assert enumerated == special
 
@@ -165,14 +162,18 @@ def test_unique_cover_of_special_triples():
     for g in (Z10, make_group([14]), Z44, make_group([2, 2, 2])):
         h0 = choose_h0(g)
         b0 = build_B0(g, h0)
+        special = {
+            triple
+            for triple in combinations(range(g.order), 3)
+            if orbits._classify_triple(g.neg_table, g.double_table, *orbits._canonical(g, triple)[1:]) in ("T1", "T2")
+        }
         cover: dict[tuple, int] = {}
         for block in b0:
-            for triple in combinations(block, 3):
+            for triple in combinations(map(g.encode, block), 3):
                 cover[triple] = cover.get(triple, 0) + 1
-                assert classify_triple(g, canonicalize(g, triple)) in ("T1", "T2")
-        for triple in combinations(g.elements(), 3):
-            special = classify_triple(g, canonicalize(g, triple)) in ("T1", "T2")
-            assert cover.get(triple, 0) == (1 if special else 0)
+                assert triple in special
+        for triple in combinations(range(g.order), 3):
+            assert cover.get(triple, 0) == (1 if triple in special else 0)
 
 
 def test_b0_contained_in_cyclic_sylow2_designs():
@@ -194,7 +195,7 @@ def test_h0_override():
 def test_verify_sqs_detects_deleted_block():
     d = construct_design(Z10)
     damaged = d.blocks[1:]
-    report = verify_sqs(Z10, damaged)
+    report = verify_design(Z10, damaged)
     assert report.is_sqs is False
     missing = [t_ for t_, c in report.triple_coverage_violations if c == 0]
     assert len(missing) == 4
@@ -203,41 +204,33 @@ def test_verify_sqs_detects_deleted_block():
 
 def test_verify_sqs_detects_duplicate_coverage():
     d = construct_design(Z10)
-    report = verify_sqs(Z10, d.blocks + (d.blocks[0],))
+    report = verify_design(Z10, d.blocks + (d.blocks[0],))
     assert report.is_sqs is False
     assert all(c == 2 for _, c in report.triple_coverage_violations)
 
 
 def test_verify_rejects_malformed_block():
     with pytest.raises(InvalidInputError):
-        verify_sqs(Z10, [t(0, 1, 2)])
+        verify_design(Z10, [t(0, 1, 2)])
     with pytest.raises(InvalidInputError):
-        verify_reversible(Z10, [((0,), (1,), (2,), (11,))])
+        verify_design(Z10, [((0,), (1,), (2,), (11,))])
 
 
 def test_single_edge_orbit_is_reversible_but_not_sqs():
     blocks = sorted(expand_orbit(Z10, canonicalize(Z10, t(0, 1, 3, 4))))
-    report = verify_reversible(Z10, blocks)
+    report = verify_design(Z10, blocks)
     assert report.is_reversible is True
-    assert verify_sqs(Z10, blocks).is_sqs is False
+    assert report.is_sqs is False
 
 
 def test_verify_reversible_detects_violations():
     d = construct_design(Z10)
-    report = verify_reversible(Z10, d.blocks[1:])
+    report = verify_design(Z10, d.blocks[1:])
     assert report.is_reversible is False
     assert report.invariance_violations
     asym = [t(0, 1, 2, 4)]
-    rep = verify_reversible(Z10, asym)
+    rep = verify_design(Z10, asym)
     assert rep.asymmetric_blocks == (t(0, 1, 2, 4),)
-
-
-def test_verification_report_merging():
-    d = construct_design(Z10)
-    full = verify_design(Z10, d.blocks)
-    assert full.is_sqs is True and full.is_reversible is True
-    sqs_only = verify_sqs(Z10, d.blocks)
-    assert sqs_only.is_reversible is None
 
 
 def test_design_json_round_trip():
@@ -372,16 +365,15 @@ def test_bulk_encoding_agrees_with_the_per_block_loop():
 def test_public_verifiers_take_any_iterable_of_tuple_blocks():
     design = construct_design(Z10)
     b0 = build_B0(Z10, design.h0)  # a frozenset
-    for verify in (verify_sqs, verify_reversible, verify_design):
-        for blocks in (design.blocks, design.blocks[1:], b0):
-            expected = verify(Z10, tuple(blocks))
-            assert verify(Z10, blocks) == expected
-            assert verify(Z10, (block for block in blocks)) == expected
-            assert verify(Z10, [iter(block) for block in blocks]) == expected
-        # only the JSON path reads a list as a point
-        with pytest.raises(InvalidInputError) as exc:
-            verify(Z10, design.blocks[:3] + (((0,), (1,), [3], (4,)),))
-        assert str(exc.value) == "[3] is not an element of Z10"
+    for blocks in (design.blocks, design.blocks[1:], b0):
+        expected = verify_design(Z10, tuple(blocks))
+        assert verify_design(Z10, blocks) == expected
+        assert verify_design(Z10, (block for block in blocks)) == expected
+        assert verify_design(Z10, [iter(block) for block in blocks]) == expected
+    # only the JSON path reads a list as a point
+    with pytest.raises(InvalidInputError) as exc:
+        verify_design(Z10, design.blocks[:3] + (((0,), (1,), [3], (4,)),))
+    assert str(exc.value) == "[3] is not an element of Z10"
 
 
 def test_coverage_listing_agrees_with_counting():
@@ -490,12 +482,12 @@ def test_diagnostics_respect_capacity(monkeypatch):
 
 
 def test_b0_orbit_reps_tags():
-    reps = b0_orbit_reps(Z225, (1, 0, 0))
-    tags = sorted(reps.values())
+    bases = engine._b0_bases(Z225, (1, 0, 0))
+    tags = sorted(bases.values())
     assert tags.count("Q1") == 4
     assert tags.count("Q2") == 8
     assert tags.count("Q3") == 1
-    total = sum(len(expand_orbit(Z225, rep)) for rep in reps)
+    total = sum(len(orbits._expand(Z225, base)) for base in bases)
     assert total == count_B0_formula(Z225)
 
 

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -11,19 +11,18 @@ from kohler_sqs.orbits import (
     TRIPLE_T,
     TRIPLE_T1,
     TRIPLE_T2,
+    OrbitRep,
     canonicalize,
-    classify_triple,
     expand_orbit,
-    in_E,
-    in_T,
     is_symmetric_block,
-    orbit_size,
 )
 
 from util import (
     QUAD_ASYMMETRIC,
     QUAD_E,
     classify_quadruple,
+    in_E_by_definition,
+    in_T_by_definition,
     is_symmetric,
     quadruple_orbit_reps,
     through_zero_sets,
@@ -71,55 +70,64 @@ def test_expand_orbit_sizes():
     assert len(expand_orbit(Z44, canonicalize(Z44, sub))) == 4
 
 
+# In a cyclic group the code of (x,) is x, so the kernels below take the
+# residues as they are.
+
+
 def test_orbit_size_examples():
-    assert orbit_size(Z10, canonicalize(Z10, t(0, 1, 9))) == 10
-    assert orbit_size(Z10, canonicalize(Z10, t(0, 1, 9, 5))) == 10
+    assert orbits._orbit_size(Z10, (0, 1, 9)) == 10
+    assert orbits._orbit_size(Z10, (0, 1, 5, 9)) == 10
     # 2a = h0 halves the orbit: {0, 5, 15, 10} in Z20
-    assert orbit_size(Z20, canonicalize(Z20, t(0, 5, 15, 10))) == 5
+    assert orbits._orbit_size(Z20, (0, 5, 10, 15)) == 5
 
 
 def test_orbit_size_matches_expansion_exhaustively():
     for g in (Z10, Z8, make_group([12]), Z225, Z44):
-        for base in triple_orbit_reps(g):
-            rep = canonicalize(g, base)
-            assert orbit_size(g, rep) == len(expand_orbit(g, rep))
-        for base in quadruple_orbit_reps(g):
-            rep = canonicalize(g, base)
-            assert orbit_size(g, rep) == len(expand_orbit(g, rep))
+        for base in [*triple_orbit_reps(g), *quadruple_orbit_reps(g)]:
+            size = orbits._orbit_size(g, tuple(map(g.encode, base)))
+            assert size == len(expand_orbit(g, OrbitRep(g, base))), (str(g), base)
 
 
 def test_in_T_examples():
-    assert in_T(Z10, (1,), (3,)) is True
-    assert in_T(Z10, (1,), (2,)) is False  # 2a = b
-    assert in_T(Z8, (1,), (3,)) is True
-    with pytest.raises(InvalidInputError):
-        in_T(Z10, (0,), (3,))
+    assert orbits._in_T(Z10.neg_table, Z10.double_table, 1, 3) is True
+    assert orbits._in_T(Z10.neg_table, Z10.double_table, 1, 2) is False  # 2a = b
+    assert orbits._in_T(Z8.neg_table, Z8.double_table, 1, 3) is True
 
 
 def test_in_E_examples():
-    assert in_E(Z10, (1,), (3,)) is True
-    assert in_E(Z10, (1,), (4,)) is False  # -2a = 2b
-    with pytest.raises(InvalidInputError):
-        in_E(Z10, (2,), (2,))
-    with pytest.raises(InvalidInputError):
-        in_E(Z10, (2,), (8,))  # a + b = 0
+    assert orbits._in_E(Z10.neg_table, Z10.double_table, 1, 3) is True
+    assert orbits._in_E(Z10.neg_table, Z10.double_table, 1, 4) is False  # -2a = 2b
+
+
+def test_membership_kernels_agree_with_the_definitions():
+    for g in (Z10, Z225, Z44):
+        neg, double = g.neg_table, g.double_table
+        seen = set()
+        for a, b in product(range(g.order), repeat=2):
+            x, y = g.decode(a), g.decode(b)
+            in_t, in_e = orbits._in_T(neg, double, a, b), orbits._in_E(neg, double, a, b)
+            assert in_t == in_T_by_definition(g, x, y), (str(g), x, y)
+            assert in_e == in_E_by_definition(g, x, y), (str(g), x, y)
+            seen.add((in_t, in_e))
+        assert {t for t, _ in seen} == {e for _, e in seen} == {True, False}, str(g)
 
 
 def test_classify_triple_examples():
-    assert classify_triple(Z10, canonicalize(Z10, t(0, 1, 9))) == TRIPLE_T1
-    assert classify_triple(Z10, canonicalize(Z10, t(0, 1, 5))) == TRIPLE_T2
-    assert classify_triple(Z10, canonicalize(Z10, t(0, 1, 3))) == TRIPLE_T
+    neg, double = Z10.neg_table, Z10.double_table
+    assert orbits._classify_triple(neg, double, 1, 9) == TRIPLE_T1
+    assert orbits._classify_triple(neg, double, 1, 5) == TRIPLE_T2
+    assert orbits._classify_triple(neg, double, 1, 3) == TRIPLE_T
 
 
 def test_classify_triple_trichotomy_exhaustive():
     for g in (Z10, make_group([14]), Z225, Z44):
-        for triple in combinations(g.elements(), 3):
-            rep = canonicalize(g, triple)
-            tag = classify_triple(g, rep)
+        neg, double = g.neg_table, g.double_table
+        for triple in combinations(range(g.order), 3):
+            _, a, b = orbits._canonical(g, triple)
+            tag = orbits._classify_triple(neg, double, a, b)
             assert tag in (TRIPLE_T, TRIPLE_T1, TRIPLE_T2)
             # the vertex family is exactly the complement of the special families
-            _, a, b = rep.base
-            assert (tag == TRIPLE_T) == in_T(g, a, b)
+            assert (tag == TRIPLE_T) == in_T_by_definition(g, g.decode(a), g.decode(b))
 
 
 def test_classify_quadruple_examples():
@@ -166,19 +174,20 @@ def test_canonicalization_constant_on_orbit_images():
 
 def test_membership_tests_are_orbit_invariant():
     for g in (Z10, Z8, make_group([2, 6])):
+        neg, double = g.neg_table, g.double_table
         by_orbit_t: dict[tuple, set[bool]] = {}
-        for a, b in combinations(g.elements()[1:], 2):
-            base = canonicalize(g, (g.zero, a, b)).base
-            by_orbit_t.setdefault(base, set()).add(in_T(g, a, b))
+        for a, b in combinations(range(1, g.order), 2):
+            base = orbits._canonical(g, (0, a, b))
+            by_orbit_t.setdefault(base, set()).add(orbits._in_T(neg, double, a, b))
         assert all(len(vals) == 1 for vals in by_orbit_t.values())
 
         by_orbit_e: dict[tuple, set[bool]] = {}
-        for a, b in combinations(g.elements()[1:], 2):
-            s = g.add(a, b)
-            if s == g.zero or s == a or s == b:
+        for a, b in combinations(range(1, g.order), 2):
+            s = g.add_codes(a, b)
+            if s == 0 or s == a or s == b:
                 continue
-            base = canonicalize(g, (g.zero, a, b, s)).base
-            by_orbit_e.setdefault(base, set()).add(in_E(g, a, b))
+            base = orbits._canonical(g, (0, a, b, s))
+            by_orbit_e.setdefault(base, set()).add(orbits._in_E(neg, double, a, b))
         assert all(len(vals) == 1 for vals in by_orbit_e.values())
 
 

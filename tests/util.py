@@ -4,9 +4,9 @@ Everything here is deliberately independent of the library's own algorithms:
 brute-force matching enumerates augmenting structure by exhaustive search,
 group enumeration goes through prime partitions, and the isolated-vertex
 characterization re-derives orbit equality from scratch.  The structural
-queries (subgroups, element orders, neighbour formulas, quadruple
-classification) exist only to check the pipeline, so they live here rather
-than in the package.
+queries (subgroups, element orders, family membership, neighbour formulas,
+quadruple classification) exist only to check the pipeline, so they live
+here rather than in the package.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import combinations, product
 from kohler_sqs import ConstructionFailure, Design, InvalidInputError, construct_design, kohler, make_group, orbits
 from kohler_sqs.engine import B0_TAG, FACTOR_TAG_PREFIX
 from kohler_sqs.groups import Element, Group
-from kohler_sqs.orbits import QUAD_Q1, QUAD_Q2, QUAD_Q3, Codes, OrbitRep, canonicalize, in_E, in_T
+from kohler_sqs.orbits import QUAD_Q1, QUAD_Q2, QUAD_Q3, Codes, OrbitRep, canonicalize
 
 QUAD_E = "E"
 QUAD_ASYMMETRIC = "Asymmetric"
@@ -373,13 +373,31 @@ def degree(graph: kohler.KohlerGraph, vertex: OrbitRep) -> int:
     return len(neighbors(graph, vertex))
 
 
+def in_T_by_definition(g: Group, a: Element, b: Element) -> bool:
+    """The reference for ``orbits._in_T``: is the orbit of {0, a, b} in the
+    vertex family T, that is a != +-b, 2a not in {0, b, 2b} and 2b not in
+    {0, a}?"""
+    ta, tb = g.double(a), g.double(b)
+    return a not in (b, g.neg(b)) and ta not in (g.zero, b, tb) and tb not in (g.zero, a)
+
+
+def in_E_by_definition(g: Group, a: Element, b: Element) -> bool:
+    """The reference for ``orbits._in_E``: is the orbit of {0, a, b, a+b} in
+    the edge family E, that is 0 not in {2a, 2b} and {+-a, +-2a} disjoint
+    from {+-b, +-2b}?"""
+    ta, tb = g.double(a), g.double(b)
+    if g.zero in (ta, tb):
+        return False
+    return not {a, g.neg(a), ta, g.neg(ta)} & {b, g.neg(b), tb, g.neg(tb)}
+
+
 def formula_neighbors(g: Group, vertex: OrbitRep) -> set[OrbitRep]:
     """Neighbours recomputed from scratch: {[a, a+b], [b, a-b], [a, b-a]} in T."""
     _, a, b = vertex.base
     zero = g.zero
     out = set()
     for c, d in ((a, g.add(a, b)), (b, g.sub(a, b)), (a, g.sub(b, a))):
-        if d != zero and d != c and in_T(g, c, d):
+        if d != zero and d != c and in_T_by_definition(g, c, d):
             out.add(canonicalize(g, (zero, c, d)))
     return out
 
@@ -415,7 +433,7 @@ def classify_quadruple(g: Group, rep: OrbitRep, h0: Element | None = None) -> st
         for q in base_nonzero[i + 1 :]
         if g.add(p, q) in base_nonzero
     ]
-    if any(in_E(g, p, q) for p, q in sum_decompositions):
+    if any(in_E_by_definition(g, p, q) for p, q in sum_decompositions):
         return QUAD_E
 
     through_zero = through_zero_sets(g, base)

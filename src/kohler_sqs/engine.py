@@ -47,10 +47,7 @@ class ConstructionFailure(Exception):
     """The Koehler graph has no 1-factor; carries the witness component."""
 
     def __init__(self, group: Group, component_indices: tuple[int, ...], graph: kohler.KohlerGraph):
-        self.group = group
-        self.component_indices = component_indices
         self.component = tuple(graph.vertices[i] for i in component_indices)
-        self.graph = graph
         if len(self.component) == 1:
             detail = f"isolated vertex {self.component[0]}"
         else:
@@ -148,42 +145,27 @@ def count_special_triples_formula(g: Group) -> int:
     block covers four special triples and each special triple lies in exactly
     one forced block.
     """
-    require_sqs_order(g)
-    v, w1, w2 = g.order, g.omega1_size, g.omega2_size
-    numerator = 3 * v * v * w1 - v * (2 * w1 * w1 + 3 * w2 - 2)
-    count, remainder = divmod(numerator, 6)
-    if remainder:
-        raise InternalInconsistencyError(f"special-triple formula is not integral for {g}")
-    return count
+    return 4 * count_B0_formula(g)
 
 
 def count_special_triples(g: Group) -> int:
-    """Number of triples with orbit in T1 or T2, counted orbit by orbit.
+    """Number of triples with orbit in T1 or T2, counted through 0.
 
-    Every triple orbit has a member {0, a, b}, so canonicalizing those over
-    the pairs of nonzero elements finds each special orbit; their sizes sum
-    to the count in O(v^2) canonicalizations instead of one per triple.  An
-    orbit with n0 members through 0 has v * n0 / 3 members.
+    The family of a triple is constant on its orbit, and each triple has
+    exactly three translates through 0, one per point; so the v translates
+    of the special triples {0, a, b}, 0 < a < b, cover every special triple
+    three times, in O(v^2) classifications instead of one per triple.
     """
     v = g.order
     neg, double = g.neg_table, g.double_table
-    through_zero: dict[Codes, int] = {}
-    for a in range(1, v):
-        minus = g.translation(neg[a])
-        for b in range(a + 1, v):
-            candidates = orbits._triple_candidates(neg, a, b, minus[b])
-            base = (0, *min(candidates))
-            if base not in through_zero:
-                through_zero[base] = len(set(candidates))
     special = (orbits.TRIPLE_T1, orbits.TRIPLE_T2)
-    total = 0
-    for (_, a, b), n0 in through_zero.items():
-        if orbits._classify_triple(neg, double, a, b) in special:
-            size, remainder = divmod(v * n0, 3)
-            if remainder:
-                raise InternalInconsistencyError(f"orbit size identity failed for {(0, a, b)!r} in {g}")
-            total += size
-    return total
+    through_zero = sum(
+        orbits._classify_triple(neg, double, a, b) in special for a in range(1, v) for b in range(a + 1, v)
+    )
+    count, remainder = divmod(v * through_zero, 3)
+    if remainder:
+        raise InternalInconsistencyError(f"special-triple count is not integral for {g}")
+    return count
 
 
 #: blocks (and provenance tags) per write when a design is written as JSON
@@ -378,11 +360,11 @@ def _assemble(
 
     B0 is built only here, once a 1-factor exists, so a failed matching
     wastes no B0 work.  Distinct orbits share no block, so the expansions
-    are concatenated, and the sorted blocks must number the sum of the orbit
-    sizes and increase strictly: that ties them to the verified orbits."""
+    are concatenated, and the sorted blocks must increase strictly and
+    number C(v, 3)/4, as the blocks of every SQS(v) do: that ties them to
+    the verified orbits."""
     tagged = _design_bases(g, h0, graph, factor)
-    sizes = _orbit_sizes(g, [base for base, _ in tagged])
-    if sizes is None:
+    if not _orbits_form_sqs(g, [base for base, _ in tagged]):
         raise InternalInconsistencyError(f"the orbits assembled for {g} do not form a reversible SQS")
     blocks: list[Codes] = []
     tags: list[str] = []
@@ -392,7 +374,7 @@ def _assemble(
         tags += [tag] * len(members)
     order = sorted(range(len(blocks)), key=blocks.__getitem__)
     codes = tuple(map(blocks.__getitem__, order))
-    if len(codes) != sum(sizes) or not all(map(operator.lt, codes, islice(codes, 1, None))):
+    if len(codes) != comb(g.order, 3) // 4 or not all(map(operator.lt, codes, islice(codes, 1, None))):
         raise InternalInconsistencyError(f"the orbits assembled for {g} expand to other blocks than verified")
     return Design(group=g, h0=h0, codes=codes, provenance=tuple(map(tags.__getitem__, order)))
 
@@ -457,39 +439,25 @@ def _design_report(g: Group, codes: tuple[Codes, ...]) -> VerificationReport:
     )
 
 
-def _orbit_sizes(g: Group, bases: list[Codes]) -> list[int] | None:
-    """The size of the orbit of each base when those orbits are the blocks
-    of a reversible SQS on ``g``, else None.
+def _orbits_form_sqs(g: Group, bases: list[Codes]) -> bool:
+    """Are the orbits of ``bases`` the blocks of a reversible SQS on ``g``?
 
-    Every base must be symmetric, and the bases pairwise distinct.  The
-    union of the orbits is invariant, and its blocks are symmetric, by
-    construction.  For a triple orbit τ, let mᵢ(τ) count the 3-subsets of
-    baseᵢ that lie in τ: the orbits then hold Σᵢ |Oᵢ|·mᵢ(τ) incidences of
-    a block with a triple of τ, and the group moves τ's triples onto each
-    other, so each lies in the same number of blocks.  Every triple lies in
-    exactly one block when that sum is |τ| for every τ the bases meet and
-    those |τ| add up to C(v, 3).  An orbit with n0 members through 0 has
-    v·n0/k members, k = 4 for blocks and 3 for triples."""
-    if len(set(bases)) != len(bases) or orbits._asymmetric(g, bases):
-        return None
-    v, sub, neg = g.order, g.sub_codes, g.neg_table
-    sizes = [orbits._orbit_size(g, base) for base in bases]
-    #: canonical nonzero pair of each triple orbit met -> [Σ |Oᵢ|·mᵢ(τ), n0]
-    met: dict[tuple[int, int], list[int]] = {}
-    for base, size in zip(bases, sizes):
-        for x, y, z in combinations(base, 3):
-            candidates = orbits._triple_candidates(neg, sub(y, x), sub(z, x), sub(z, y))
-            tau = min(candidates)
-            if tau in met:
-                met[tau][0] += size
-            else:
-                met[tau] = [size, len(set(candidates))]
-    covered = 0
-    for incidences, n0 in met.values():
-        if 3 * incidences != v * n0:
-            return None
-        covered += incidences
-    return sizes if covered == comb(v, 3) else None
+    Every base must be symmetric.  The union of the orbits is invariant, and
+    its blocks are symmetric, by construction.  Translating by -x maps the
+    blocks on a triple {x, y, z} onto those on {0, y-x, z-x}, so every
+    triple lies in exactly one block when every triple through 0 does.  The
+    blocks through 0 are the distinct through-0 members of the orbits, each
+    {0, p, q, r} covering the pairs {p, q}, {p, r} and {q, r}: the orbits
+    form an SQS exactly when those pairs number C(v-1, 2) and none repeats.
+    A base listed twice, or two bases of one orbit, repeat every pair."""
+    if orbits._asymmetric(g, bases):
+        return False
+    v = g.order
+    pairs: list[int] = []
+    for base in bases:
+        for _, p, q, r in set(orbits._through_zero_candidates(g, base)):
+            pairs += (p * v + q, p * v + r, q * v + r)
+    return len(pairs) == comb(v - 1, 2) and len(set(pairs)) == len(pairs)
 
 
 def _coverage_violations(g: Group, codes: tuple[Codes, ...]) -> tuple[tuple[Subset, int], ...]:

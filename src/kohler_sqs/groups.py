@@ -223,11 +223,13 @@ class Group:
     @cached_property
     def omega1(self) -> tuple[Element, ...]:
         """Elements killed by 2 (including 0), in lex order."""
+        self.check_capacity()
         return tuple(product(*(range(0, d, d // math.gcd(2, d)) for d in self.factors)))
 
     @cached_property
     def omega2(self) -> tuple[Element, ...]:
         """Elements killed by 4 (including 0), in lex order."""
+        self.check_capacity()
         return tuple(product(*(range(0, d, d // math.gcd(4, d)) for d in self.factors)))
 
     @property

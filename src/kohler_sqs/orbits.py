@@ -92,18 +92,13 @@ def _canonical(g: Group, pts: Codes) -> Codes:
     return min(_through_zero_candidates(g, pts))
 
 
-def _triple_candidates(neg, a: int, b: int, ba: int) -> list[tuple[int, int]]:
-    """The nonzero parts of the through-0 members of the orbit of {0, a, b},
-    given ``ba = b - a``: {a, b}, {-a, -b}, {-a, b-a}, {a, a-b}, {-b, a-b}
-    and {b, b-a}, each sorted."""
+def _canonical_triple(neg, a: int, b: int, ba: int) -> Codes:
+    """Canonical base of the orbit of {0, a, b}, given ``ba = b - a``.  The
+    members through 0 are {0, a, b}, {0, -a, -b}, {0, -a, b-a},
+    {0, a, a-b}, {0, -b, a-b} and {0, b, b-a}."""
     na, nb, nba = neg[a], neg[b], neg[ba]
     pairs = ((a, b), (na, nb), (na, ba), (a, nba), (nb, nba), (b, ba))
-    return [(x, y) if x < y else (y, x) for x, y in pairs]
-
-
-def _canonical_triple(neg, a: int, b: int, ba: int) -> Codes:
-    """Canonical base of the orbit of {0, a, b}, given ``ba = b - a``."""
-    return (0, *min(_triple_candidates(neg, a, b, ba)))
+    return (0, *min([(x, y) if x < y else (y, x) for x, y in pairs]))
 
 
 def _canonical_edge(neg, a: int, b: int, s: int, ba: int) -> Codes:

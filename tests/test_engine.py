@@ -630,17 +630,19 @@ def _verdicts(g, bases) -> tuple[bool, bool]:
     """Whether the orbit verifier accepts ``bases``, and whether the block
     verifier accepts every block of every orbit, an orbit listed twice
     listing its blocks twice."""
-    sizes = engine._orbit_sizes(g, bases)
+    accepted = engine._orbits_form_sqs(g, bases)
     blocks = tuple(block for base in bases for block in orbits._expand(g, base))
     report = engine._design_report(g, blocks)
-    if sizes is not None:
-        assert sizes == [len(orbits._expand(g, base)) for base in bases]
-    return sizes is not None, bool(report.is_sqs and report.is_reversible)
+    if accepted:
+        assert len(blocks) == comb(g.order, 3) // 4
+    return accepted, bool(report.is_sqs and report.is_reversible)
 
 
 def _base_mutations(g, bases: list):
     """``bases`` with its middle base dropped, duplicated, replaced by an
-    asymmetric base, and joined by another member of its orbit."""
+    asymmetric base, replaced by a symmetric base of another orbit with as
+    many members through 0 (which keeps the number of pairs through 0 and
+    repeats one), and joined by another member of its orbit."""
     k = len(bases) // 2
     yield bases[:k] + bases[k + 1 :]
     yield bases + [bases[k]]
@@ -650,6 +652,20 @@ def _base_mutations(g, bases: list):
     )
     if asymmetric is not None:
         yield bases[:k] + [asymmetric] + bases[k + 1 :]
+    orbits_met = {orbits._canonical(g, base) for base in bases}
+    n0 = len(set(orbits._through_zero_candidates(g, bases[k])))
+    twin = next(
+        (
+            base
+            for base in ((0, *rest) for rest in combinations(range(1, g.order), 3))
+            if is_symmetric(g, base)
+            and orbits._canonical(g, base) not in orbits_met
+            and len(set(orbits._through_zero_candidates(g, base))) == n0
+        ),
+        None,
+    )
+    if twin is not None:
+        yield bases[:k] + [twin] + bases[k + 1 :]
     other = next((m for m in sorted(orbits._expand(g, bases[k])) if m != bases[k]), None)
     if other is not None:
         yield bases + [other]

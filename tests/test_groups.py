@@ -215,6 +215,12 @@ def test_code_tables_honour_capacity(monkeypatch):
         g.encode((0, 0))
     with pytest.raises(CapacityError):
         g.neg_table
+    # 2^14 elements: Omega_1 and Omega_2 are the whole group
+    wide = make_group([2] * 14)
+    with pytest.raises(CapacityError):
+        wide.omega1
+    with pytest.raises(CapacityError):
+        wide.omega2
     monkeypatch.setenv(MAX_ORDER_ENV_VAR, "11000")
     assert g.encode((100, 100)) == 10200
     assert g.neg_table[1] == 100

@@ -175,10 +175,11 @@ def test_canonicalization_constant_on_orbit_images():
 def test_membership_tests_are_orbit_invariant():
     for g in (Z10, Z8, make_group([2, 6])):
         neg, double = g.neg_table, g.double_table
-        by_orbit_t: dict[tuple, set[bool]] = {}
+        by_orbit_t: dict[tuple, set[tuple[bool, str]]] = {}
         for a, b in combinations(range(1, g.order), 2):
             base = orbits._canonical(g, (0, a, b))
-            by_orbit_t.setdefault(base, set()).add(orbits._in_T(neg, double, a, b))
+            tags = (orbits._in_T(neg, double, a, b), orbits._classify_triple(neg, double, a, b))
+            by_orbit_t.setdefault(base, set()).add(tags)
         assert all(len(vals) == 1 for vals in by_orbit_t.values())
 
         by_orbit_e: dict[tuple, set[bool]] = {}

@@ -47,7 +47,7 @@ class ConstructionFailure(Exception):
     """The Koehler graph has no 1-factor; carries the witness component."""
 
     def __init__(self, group: Group, component_indices: tuple[int, ...], graph: kohler.KohlerGraph):
-        self.component = tuple(graph.vertices[i] for i in component_indices)
+        self.component = kohler._reps(group, (graph.vertex_codes[i] for i in component_indices))
         if len(self.component) == 1:
             detail = f"isolated vertex {self.component[0]}"
         else:
@@ -385,9 +385,7 @@ def _design_bases(
     """The canonical base of each orbit of the design, with the provenance
     of its blocks: B0's forced orbits, then one edge orbit per 1-factor edge."""
     tagged = [(base, B0_TAG) for base in _b0_bases(g, h0)]
-    tagged += [
-        (tuple(map(g.encode, graph.edges[i].base)), f"{FACTOR_TAG_PREFIX}{i}") for i in factor.matched_edges
-    ]
+    tagged += [(graph.edge_codes[i], f"{FACTOR_TAG_PREFIX}{i}") for i in factor.matched_edges]
     return tagged
 
 

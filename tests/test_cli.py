@@ -47,6 +47,13 @@ PINNED_STDOUT = {
     "construct --group 2,2,25": (0, "01eb9e38c132e2a19cf373e2186b60491b79db4f325c2011f506c9fba7034002"),
     # v >= 200: 643,250 blocks, 24 MB in 158 chunks
     "construct --group 250": (0, "5f59e0f0180260ae1e880571f7f385e0a4db2563dabe0c47512250973dc06a81"),
+    # the benchmark's decide ops: two "no" verdicts and an "unknown", each
+    # with its witness component, and two whole graphs
+    "exists --group 196": (2, "487dec0c71f0e67ebede15b15e6294c89524e0bacb1e40452bc029deb5b88dd2"),
+    "exists --group 158": (2, "5f375f26275d54e1e7b1e65c75b83eca933ad21e221efb3d715e477443381111"),
+    "exists --group 2,2,49": (4, "ee3e44e334acd37c9a12ebe7cc4d2805237547d09421aabf1499f596f110a617"),
+    "graph --stats --group 250": (0, "84fc8470976d7205ff9e762f1b3b7c6b0c98394dfe48c57c4182ca16076450b3"),
+    "graph --export --group 2,2,49": (0, "a157bd92154028fcb363adbb65b877e91312bb24f6a404222652fe5556bd0bae"),
 }
 
 

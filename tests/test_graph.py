@@ -2,22 +2,27 @@ from itertools import combinations
 
 import pytest
 
-from kohler_sqs import InvalidInputError, make_group, orbits
+from kohler_sqs import InternalInconsistencyError, InvalidInputError, kohler, make_group, orbits
+from kohler_sqs.engine import sqs_order_ok
 from kohler_sqs.kohler import build_graph, export_graph, graph_stats
 from kohler_sqs.matching import components
 from kohler_sqs.orbits import OrbitRep, canonicalize
 
 from util import (
+    abelian_groups_up_to,
     all_subgroups,
     degree,
     edge_lies_on_cycle,
     formula_neighbors,
+    in_E_by_definition,
     in_T_by_definition,
     isolated_by_characterization,
+    koehler_graph_by_pair_scan,
     neighbors,
     scale,
     subgroup_generated,
     subgroup_is_cyclic,
+    through_zero_sets,
 )
 
 Z44 = make_group([4, 4])
@@ -271,3 +276,70 @@ def test_every_edge_has_two_distinct_endpoints():
             assert 0 <= i < len(g.vertices) and 0 <= j < len(g.vertices)
             assert (i, j) not in seen_pairs, "multiple edges"
             seen_pairs.add((i, j))
+
+
+# every order up to 64 too: on some groups whose order 3 divides, such as
+# Z3xZ3, the vertex test's a < -b rejects pairs the rest of it accepts
+@pytest.mark.parametrize(
+    "group",
+    [g for g in abelian_groups_up_to(100) if sqs_order_ok(g.order) or g.order <= 64]
+    + [make_group(f) for f in ([158], [196], [2, 2, 49], [250])],
+    ids=str,
+)
+def test_graph_matches_the_pair_scan(group):
+    graph, reference = build_graph(group), koehler_graph_by_pair_scan(group)
+    assert export_graph(graph) == export_graph(reference)
+    assert graph.endpoints == reference.endpoints
+    assert graph.adjacency == reference.adjacency
+
+
+def test_through_zero_members_of_t_and_e_orbits():
+    # the counts the canonical-pair scan of build_graph relies on, checked
+    # once per orbit
+    for group in abelian_groups_up_to(64):
+        zero = group.zero
+        seen: set = set()
+        for a, b in combinations(group.elements()[1:], 2):
+            if (zero, a, b) not in seen and in_T_by_definition(group, a, b):
+                members = through_zero_sets(group, (zero, a, b))
+                assert len(members) == 6, (group, a, b)
+                values = (a, b, group.neg(a), group.neg(b), group.sub(b, a), group.sub(a, b))
+                assert len(set(values)) == 6, (group, a, b)
+                seen |= members
+            s = group.add(a, b)
+            if s in (zero, a, b) or tuple(sorted((zero, a, b, s))) in seen or not in_E_by_definition(group, a, b):
+                continue
+            members = through_zero_sets(group, (zero, a, b, s))
+            assert len(members) == 4, (group, a, b)
+            assert len({x for m in members for x in m} - {zero}) == 8, (group, a, b)
+            seen |= members
+
+
+def test_missed_endpoint_is_an_internal_inconsistency(monkeypatch):
+    # with no vertex found, the one edge of Z10 has no endpoint entry
+    monkeypatch.setattr(kohler, "_in_T", lambda neg, double, a, b: False)
+    with pytest.raises(InternalInconsistencyError, match="has an endpoint outside T"):
+        build_graph(Z10)
+
+
+def test_self_joining_edge_is_an_internal_inconsistency(monkeypatch):
+    # every vertex claims every pair, so the last one found owns them all
+    all_pairs = tuple(combinations(range(1, Z44.order), 2))
+    monkeypatch.setattr(kohler, "_triple_pairs", lambda neg, a, b, ba: all_pairs)
+    with pytest.raises(InternalInconsistencyError, match="joins a vertex to itself"):
+        build_graph(Z44)
+
+
+def test_parallel_edges_are_an_internal_inconsistency(monkeypatch):
+    # without the choice between {0, a, b, a+b} and {0, a, -b, a-b}, an edge
+    # met at both pairs is listed twice between the same two vertices
+    monkeypatch.setattr(kohler, "_edge_base", lambda a, b, s, nb, nba: (0, a, *sorted((b, s))))
+    with pytest.raises(InternalInconsistencyError, match="multiple edges between vertices"):
+        build_graph(Z44)
+
+
+def test_elementary_abelian_2_group_builds_no_translation_row():
+    g = make_group([2] * 10)
+    graph = build_graph(g)
+    assert graph.vertex_codes == graph.edge_codes == ()
+    assert "_fold" not in g.__dict__

@@ -373,6 +373,66 @@ def degree(graph: kohler.KohlerGraph, vertex: OrbitRep) -> int:
     return len(neighbors(graph, vertex))
 
 
+def _canonical_triple(neg, a: int, b: int, ba: int) -> Codes:
+    """Canonical base of the orbit of {0, a, b}, given ``ba = b - a``.  The
+    members through 0 are {0, a, b}, {0, -a, -b}, {0, -a, b-a},
+    {0, a, a-b}, {0, -b, a-b} and {0, b, b-a}."""
+    na, nb, nba = neg[a], neg[b], neg[ba]
+    pairs = ((a, b), (na, nb), (na, ba), (a, nba), (nb, nba), (b, ba))
+    return (0, *min([(x, y) if x < y else (y, x) for x, y in pairs]))
+
+
+def koehler_graph_by_pair_scan(g: Group) -> kohler.KohlerGraph:
+    """The reference for ``kohler.build_graph``: scan all unordered pairs of
+    nonzero codes, canonicalize every T triple and E quadruple met, and
+    deduplicate.  Each edge's endpoints are the canonical triples of the
+    first pair that meets it."""
+    g.check_capacity()
+    v = g.order
+    neg, double = g.neg_table, g.double_table
+
+    vertex_bases: set[Codes] = set()
+    #: edge base -> the bases of its two endpoints
+    edge_ends: dict[Codes, tuple[Codes, Codes]] = {}
+    for a in range(1, v):
+        plus, minus = g.translation(a), g.translation(neg[a])
+        for b in range(a + 1, v):
+            ba = minus[b]
+            if orbits._in_T(neg, double, a, b):
+                vertex_bases.add(_canonical_triple(neg, a, b, ba))
+            s = plus[b]
+            if s != 0 and s != a and s != b and orbits._in_E(neg, double, a, b):
+                base = orbits._canonical_edge(neg, a, b, s, ba)
+                if base not in edge_ends:
+                    # the triples of {0, a, b, a+b} lie in the orbits [a, b] and
+                    # [a, a+b] (the decomposition is unique up to swapping a
+                    # and b), and so do those of every member of its orbit
+                    edge_ends[base] = (_canonical_triple(neg, a, b, ba), _canonical_triple(neg, a, s, b))
+
+    vertex_order = sorted(vertex_bases)
+    index = {base: i for i, base in enumerate(vertex_order)}
+    edge_order = sorted(edge_ends)
+
+    endpoints = []
+    seen_pairs: set[tuple[int, int]] = set()
+    for base in edge_order:
+        u, w = edge_ends[base]
+        assert u in index and w in index, f"edge {base!r} has an endpoint outside T"
+        i, j = sorted((index[u], index[w]))
+        assert i != j, f"edge {base!r} joins a vertex to itself"
+        assert (i, j) not in seen_pairs, f"multiple edges between vertices {i} and {j}"
+        seen_pairs.add((i, j))
+        endpoints.append((i, j))
+
+    return kohler.KohlerGraph(
+        group=g,
+        vertex_codes=tuple(vertex_order),
+        edge_codes=tuple(edge_order),
+        endpoints=tuple(endpoints),
+        adjacency=rows_from_edges(len(vertex_order), endpoints),
+    )
+
+
 def in_T_by_definition(g: Group, a: Element, b: Element) -> bool:
     """The reference for ``orbits._in_T``: is the orbit of {0, a, b} in the
     vertex family T, that is a != +-b, 2a not in {0, b, 2b} and 2b not in

@@ -13,8 +13,8 @@ quadruple system on the group in which every block is symmetric and the block
 set is invariant under translations and negation.  For groups with cyclic
 Sylow 2-subgroup the 1-factor is also necessary, which turns the construction
 into a decision procedure; otherwise a failed matching leaves existence open
-(reversible systems that do not contain all of B0 exist, see the bundled
-SQS(20) fixture).
+(reversible systems that do not contain all of B0 exist, such as an SQS(20)
+over Z2 x Z2 x Z5).
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ FACTOR_TAG_PREFIX = "factor:"
 class ConstructionFailure(Exception):
     """The Koehler graph has no 1-factor; carries the witness component."""
 
-    def __init__(self, group: Group, component_indices: tuple[int, ...], graph: kohler.KohlerGraph):
-        self.component = kohler._reps(group, (graph.vertex_codes[i] for i in component_indices))
+    def __init__(self, graph: kohler.KohlerGraph, component_indices: tuple[int, ...]):
+        self.component = kohler._reps(graph.group, (graph.vertex_codes[i] for i in component_indices))
         if len(self.component) == 1:
             detail = f"isolated vertex {self.component[0]}"
         else:
             detail = f"unmatched component {[str(v) for v in self.component]}"
-        super().__init__(f"Koehler graph of {group} has no 1-factor; {detail}")
+        super().__init__(f"Koehler graph of {graph.group} has no 1-factor; {detail}")
 
 
 def sqs_order_ok(v: int) -> bool:
@@ -86,17 +86,15 @@ def _validate_h0(g: Group, h0: Element) -> Element:
     return h0
 
 
-def _b0_bases(g: Group, h0: Element) -> dict[Codes, str]:
-    """Canonical bases of the forced orbits as codes, tagged Q1/Q2/Q3."""
+def _b0_bases(g: Group, h0: Element) -> set[Codes]:
+    """Canonical bases of the forced orbits Q1, Q2 and Q3 as codes."""
     require_sqs_order(g)
     _validate_h0(g, h0)
     h0_code = g.encode(h0)
     neg, double = g.neg_table, g.double_table
     involutions = [h for h in range(1, g.order) if double[h] == 0]
     outside = [a for a in range(g.order) if double[a] != 0]
-    bases: dict[Codes, str] = {}
-    for a in outside:
-        bases.setdefault(orbits._canonical(g, (0, a, neg[a], h0_code)), orbits.QUAD_Q1)
+    bases = {orbits._canonical(g, (0, a, neg[a], h0_code)) for a in outside}
     # Q2 and Q3 blocks have the shape {0, a, b, a+b}, with b - a = h - a and
     # b - a = h' + h (an involution is its own negative)
     for h in involutions:
@@ -105,11 +103,10 @@ def _b0_bases(g: Group, h0: Element) -> dict[Codes, str]:
         plus = g.translation(h)
         for a in outside:
             if double[a] != h:
-                base = orbits._canonical_edge(neg, a, h, plus[a], plus[neg[a]])
-                bases.setdefault(base, orbits.QUAD_Q2)
+                bases.add(orbits._canonical_edge(neg, a, h, plus[a], plus[neg[a]]))
     for h, hp in combinations(involutions, 2):
         s = g.add_codes(h, hp)
-        bases.setdefault(orbits._canonical_edge(neg, h, hp, s, s), orbits.QUAD_Q3)
+        bases.add(orbits._canonical_edge(neg, h, hp, s, s))
     return bases
 
 
@@ -139,7 +136,7 @@ def count_B0_formula(g: Group) -> int:
 
 
 def count_special_triples_formula(g: Group) -> int:
-    """Closed form for the number of triples with orbit in T1 or T2.
+    """Closed form for the number of triples with orbit outside T.
 
     Equals v^2*w1/2 - v*(2*w1^2 + 3*w2 - 2)/6, which is 4 |B0|: each forced
     block covers four special triples and each special triple lies in exactly
@@ -149,19 +146,16 @@ def count_special_triples_formula(g: Group) -> int:
 
 
 def count_special_triples(g: Group) -> int:
-    """Number of triples with orbit in T1 or T2, counted through 0.
+    """Number of triples with orbit outside T, counted through 0.
 
-    The family of a triple is constant on its orbit, and each triple has
-    exactly three translates through 0, one per point; so the v translates
-    of the special triples {0, a, b}, 0 < a < b, cover every special triple
-    three times, in O(v^2) classifications instead of one per triple.
+    Membership in T is constant on an orbit, and each triple has exactly
+    three translates through 0, one per point; so the v translates of the
+    special triples {0, a, b}, 0 < a < b, cover every special triple three
+    times, in O(v^2) membership tests instead of one per triple.
     """
     v = g.order
     neg, double = g.neg_table, g.double_table
-    special = (orbits.TRIPLE_T1, orbits.TRIPLE_T2)
-    through_zero = sum(
-        orbits._classify_triple(neg, double, a, b) in special for a in range(1, v) for b in range(a + 1, v)
-    )
+    through_zero = sum(not orbits._in_T(neg, double, a, b) for a in range(1, v) for b in range(a + 1, v))
     count, remainder = divmod(v * through_zero, 3)
     if remainder:
         raise InternalInconsistencyError(f"special-triple count is not integral for {g}")
@@ -253,10 +247,13 @@ def design_from_json_dict(payload: dict) -> Design:
         h0 = _validate_h0(g, tuple(payload["h0"]))
         blocks = (map(tuple, block) for block in payload["blocks"])
         codes = _encode_blocks(g, blocks)
-        provenance = tuple(str(p) for p in payload["provenance"])
+        # checked after the blocks, so that a bad block is named first
+        provenance = payload["provenance"]
+        if type(provenance) is not list or set(map(type, provenance)) - {str}:
+            raise InvalidInputError("design provenance must be a list of strings")
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed design payload: {exc}") from exc
-    return Design(group=g, h0=h0, codes=codes, provenance=provenance)
+    return Design(group=g, h0=h0, codes=codes, provenance=tuple(provenance))
 
 
 #: blocks per bulk pass when blocks are validated and encoded
@@ -342,14 +339,11 @@ def construct_design(g: Group, h0: Element | None = None) -> Design:
     require_sqs_order(g)
     graph = kohler.build_graph(g)  # checks the capacity before h0 is looked for
     h0 = choose_h0(g) if h0 is None else _validate_h0(g, h0)
-    return _assemble(g, h0, graph, _one_factor(g, graph))
-
-
-def _one_factor(g: Group, graph: kohler.KohlerGraph) -> matching.Matching:
     try:
-        return matching.one_factor(graph.adjacency)
+        factor = matching.one_factor(graph.adjacency)
     except matching.NoPerfectMatching as exc:
-        raise ConstructionFailure(g, exc.component, graph) from exc
+        raise ConstructionFailure(graph, exc.component) from exc
+    return _assemble(g, h0, graph, factor)
 
 
 def _assemble(
@@ -369,7 +363,7 @@ def _assemble(
     blocks: list[Codes] = []
     tags: list[str] = []
     for base, tag in tagged:
-        members = orbits._expand(g, base, symmetric=True)
+        members = orbits._expand(g, base)
         blocks += members
         tags += [tag] * len(members)
     order = sorted(range(len(blocks)), key=blocks.__getitem__)
@@ -650,13 +644,12 @@ def existence_check(g: Group) -> ExistenceVerdict:
         return ExistenceVerdict(verdict="no", reason=reason)
 
     sylow_cyclic = g.is_sylow2_cyclic
-    graph = kohler.build_graph(g)
     try:
-        factor = _one_factor(g, graph)
+        design = construct_design(g)
     except ConstructionFailure as exc:
-        factor, failure = None, exc
-    diagnostics = _condition_iv(g, factor is not None) if sylow_cyclic else {}
-    if factor is None:
+        design, failure = None, exc
+    diagnostics = _condition_iv(g, design is not None) if sylow_cyclic else {}
+    if design is None:
         witness = tuple(str(vtx) for vtx in failure.component)
         if sylow_cyclic:
             return ExistenceVerdict(
@@ -678,7 +671,6 @@ def existence_check(g: Group) -> ExistenceVerdict:
             },
             witness_component=witness,
         )
-    design = _assemble(g, choose_h0(g), graph, factor)
     return ExistenceVerdict(
         verdict="yes",
         reason={

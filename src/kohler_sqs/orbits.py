@@ -8,13 +8,10 @@ quadruple contains members through 0, and all of them arise as ``X - x`` or
 least of those candidates.  Two subsets lie in the same orbit exactly when
 their canonical forms coincide.
 
-Orbits of triples split into three families: the vertex family T (the
-Koehler-graph vertices), the family T1 of orbits of {0, a, -a}, and the
-family T2 of orbits of {0, a, h} with h an involution.  Orbits of quadruples
-of interest are the edge family E (orbits of {0, a, b, a+b} with
-0 not in {2a, 2b} and {+-a, +-2a} disjoint from {+-b, +-2b}) and the forced
-families Q1 = [a, -a, h0], Q2 = [a, h, h+a], Q3 = [h, h', h+h'] from which
-the base block set of the construction is assembled.
+The construction asks two questions of a family: is a triple orbit in the
+vertex family T (the Koehler-graph vertices, :func:`_in_T`), and is a
+quadruple orbit in the edge family E (:func:`_in_E`)?  The triple orbits
+outside T are the special ones, which the forced blocks B0 cover.
 
 Every function here works on element codes (see :mod:`kohler_sqs.groups`);
 the public ones take and return coordinate tuples and convert at the
@@ -33,16 +30,6 @@ Subset = tuple[Element, ...]
 #: a subset as element codes
 Codes = tuple[int, ...]
 
-# Triple classification tags.
-TRIPLE_T = "T"
-TRIPLE_T1 = "T1"
-TRIPLE_T2 = "T2"
-
-# Tags of the forced quadruple families.
-QUAD_Q1 = "Q1"
-QUAD_Q2 = "Q2"
-QUAD_Q3 = "Q3"
-
 
 @dataclass(frozen=True)
 class OrbitRep:
@@ -57,7 +44,6 @@ class OrbitRep:
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(x) for x in self.base[1:]) + "]"
-
 
 
 def _validated_points(g: Group, points) -> Codes:
@@ -127,18 +113,17 @@ def _checked_base(g: Group, rep: OrbitRep) -> Codes:
     return _validated_points(g, rep.base)
 
 
-def _expand(g: Group, base: Codes, symmetric: bool = False) -> set[Codes]:
+def _expand(g: Group, base: Codes) -> set[Codes]:
     """Every member of the orbit of ``base``, as sorted code tuples: one
     translation row per point of ``base`` and of ``-base``.
 
-    A caller that has checked ``base`` is symmetric passes ``symmetric``:
-    then ``-base + a = base + (x + a)`` for the x with ``-base = base + x``,
-    so the translates of ``base`` are the whole orbit and the rows of
-    ``-base`` are skipped."""
+    When ``-base`` is among the translates of ``base``, say ``-base = base +
+    x``, then ``-base + a = base + (x + a)``: the translates of ``base`` are
+    the whole orbit and the rows of ``-base`` are skipped."""
     out = {tuple(sorted(member)) for member in zip(*map(g.translation, base))}
-    if not symmetric:
-        neg = g.neg_table
-        out.update(tuple(sorted(member)) for member in zip(*(g.translation(neg[p]) for p in base)))
+    negated = [g.neg_table[p] for p in base]
+    if tuple(sorted(negated)) not in out:
+        out.update(tuple(sorted(member)) for member in zip(*map(g.translation, negated)))
     return out
 
 
@@ -177,17 +162,6 @@ def _in_E(neg, double, a: int, b: int) -> bool:
     # {+-a, +-2a} is closed under negation, so testing b and 2b covers -b and -2b
     left = (a, neg[a], ta, neg[ta])
     return b not in left and tb not in left
-
-
-def _classify_triple(neg, double, a: int, b: int) -> str:
-    """The family of the orbit of {0, a, b}: T1 wins where T1 and T2 overlap
-    ({0, a, -a} with 4a = 0), and T is disjoint from both."""
-    ta, tb = double[a], double[b]
-    if b == neg[a] or a == tb or ta == b:
-        return TRIPLE_T1
-    if ta == 0 or tb == 0 or ta == tb:
-        return TRIPLE_T2
-    return TRIPLE_T
 
 
 def _asymmetric(g: Group, blocks) -> list[Codes]:

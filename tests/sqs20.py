@@ -17,8 +17,8 @@ search in the acceptance suite).  Together they form the 285-block system.
 
 from __future__ import annotations
 
-from .groups import Group, make_group
-from .orbits import Subset, canonicalize, expand_orbit
+from kohler_sqs.groups import Group, make_group
+from kohler_sqs.orbits import Subset, canonicalize, expand_orbit
 
 SQS20_FACTORS = (2, 2, 5)
 SQS20_H0 = (1, 0, 0)

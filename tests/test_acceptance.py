@@ -20,19 +20,22 @@ from kohler_sqs.engine import (
     count_special_triples_formula,
     verify_design,
 )
-from kohler_sqs.fixtures import (
+from kohler_sqs.kohler import build_graph
+from kohler_sqs.matching import NoPerfectMatching, components, maximum_matching, one_factor
+from kohler_sqs.orbits import OrbitRep, canonicalize, expand_orbit, is_symmetric_block
+
+from sqs20 import (
     SQS20_COMPLETION_ORBIT,
     SQS20_H0,
     sqs20_blocks,
     sqs20_core_blocks,
     sqs20_group,
 )
-from kohler_sqs.kohler import build_graph
-from kohler_sqs.matching import NoPerfectMatching, components, maximum_matching, one_factor
-from kohler_sqs.orbits import QUAD_Q2, OrbitRep, canonicalize, expand_orbit, is_symmetric_block
-
 from util import (
     QUAD_ASYMMETRIC,
+    QUAD_Q1,
+    QUAD_Q2,
+    QUAD_Q3,
     abelian_groups_of_order,
     abelian_groups_up_to,
     all_subgroups,
@@ -137,7 +140,7 @@ def test_criterion_4_counting_oracle():
                 enumerated_special = sum(
                     1
                     for triple in combinations(range(g.order), 3)
-                    if orbits._classify_triple(neg, double, *orbits._canonical(g, triple)[1:]) in ("T1", "T2")
+                    if not orbits._in_T(neg, double, *orbits._canonical(g, triple)[1:])
                 )
                 assert enumerated_special == formula_special, g.factors
                 assert count_special_triples(g) == enumerated_special, g.factors
@@ -148,7 +151,7 @@ def test_criterion_4_counting_oracle():
                     quad
                     for quad in combinations(g.elements(), 4)
                     if classify_quadruple(g, canonicalize(g, quad), h0)
-                    in ("Q1", "Q2", "Q3")
+                    in (QUAD_Q1, QUAD_Q2, QUAD_Q3)
                 }
                 assert brute_forced == forced, g.factors
 
@@ -160,7 +163,7 @@ def test_criterion_4_counting_oracle():
                     for triple in combinations(block, 3):
                         cover[triple] = cover.get(triple, 0) + 1
                         _, a, b = orbits._canonical(g, tuple(map(g.encode, triple)))
-                        assert orbits._classify_triple(neg, double, a, b) in ("T1", "T2"), (g.factors, triple)
+                        assert not orbits._in_T(neg, double, a, b), (g.factors, triple)
                 assert all(c == 1 for c in cover.values()), g.factors
                 assert len(cover) == formula_special, g.factors
         assert time.perf_counter() - start < 60.0

@@ -239,6 +239,19 @@ def test_verify_payload_with_two_faults_exit_1(tmp_path, capsys, fault):
     assert "error" in err
 
 
+@pytest.mark.parametrize("provenance", ["B", [1], [None], {"x": 1}], ids=repr)
+def test_verify_provenance_must_be_a_list_of_strings_exit_1(tmp_path, capsys, provenance):
+    # nothing is coerced to a provenance tag; a bad block is named first
+    path = tmp_path / "design.json"
+    payload = {"group": [4], "h0": [2], "blocks": [[[0], [1], [2], [3]]], "provenance": provenance}
+    for blocks, message in (
+        (payload["blocks"], "error: design provenance must be a list of strings\n"),
+        ([[[0], [1], [2], [9]]], "error: (9,) is not an element of Z4\n"),
+    ):
+        path.write_text(json.dumps(dict(payload, blocks=blocks)))
+        assert run_cli(capsys, "verify", str(path)) == (1, "", message)
+
+
 @pytest.mark.parametrize(
     "edit",
     [

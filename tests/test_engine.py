@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -26,14 +27,17 @@ from kohler_sqs.engine import (
     existence_check,
     verify_design,
 )
-from kohler_sqs.fixtures import SQS20_CORE_ORBITS, SQS20_ORBITS, sqs20_blocks, sqs20_group
 from kohler_sqs.groups import MAX_ORDER_ENV_VAR
 from kohler_sqs.kohler import build_graph
 from kohler_sqs.orbits import OrbitRep, canonicalize, expand_orbit
 
+from sqs20 import SQS20_CORE_ORBITS, SQS20_ORBITS, sqs20_blocks, sqs20_group
 from util import (
     QUAD_ASYMMETRIC,
     QUAD_E,
+    QUAD_Q1,
+    QUAD_Q2,
+    QUAD_Q3,
     b0_blocks,
     classify_quadruple,
     constructed_designs,
@@ -83,7 +87,7 @@ def test_counting_formulas_and_enumeration(factors, b0, special):
     enumerated = sum(
         1
         for triple in combinations(range(g.order), 3)
-        if orbits._classify_triple(g.neg_table, g.double_table, *orbits._canonical(g, triple)[1:]) in ("T1", "T2")
+        if not orbits._in_T(g.neg_table, g.double_table, *orbits._canonical(g, triple)[1:])
     )
     assert enumerated == special
 
@@ -94,7 +98,7 @@ def test_b0_matches_quadruple_classification():
         expected = {
             tuple(sorted(quad))
             for quad in combinations(g.elements(), 4)
-            if classify_quadruple(g, canonicalize(g, quad), h0) in ("Q1", "Q2", "Q3")
+            if classify_quadruple(g, canonicalize(g, quad), h0) in (QUAD_Q1, QUAD_Q2, QUAD_Q3)
         }
         assert build_B0(g, h0) == expected
 
@@ -165,7 +169,7 @@ def test_unique_cover_of_special_triples():
         special = {
             triple
             for triple in combinations(range(g.order), 3)
-            if orbits._classify_triple(g.neg_table, g.double_table, *orbits._canonical(g, triple)[1:]) in ("T1", "T2")
+            if not orbits._in_T(g.neg_table, g.double_table, *orbits._canonical(g, triple)[1:])
         }
         cover: dict[tuple, int] = {}
         for block in b0:
@@ -482,11 +486,10 @@ def test_diagnostics_respect_capacity(monkeypatch):
 
 
 def test_b0_orbit_reps_tags():
-    bases = engine._b0_bases(Z225, (1, 0, 0))
-    tags = sorted(bases.values())
-    assert tags.count("Q1") == 4
-    assert tags.count("Q2") == 8
-    assert tags.count("Q3") == 1
+    h0 = (1, 0, 0)
+    bases = engine._b0_bases(Z225, h0)
+    tags = Counter(classify_quadruple(Z225, OrbitRep(Z225, tuple(map(Z225.decode, base))), h0) for base in bases)
+    assert tags == {QUAD_Q1: 4, QUAD_Q2: 8, QUAD_Q3: 1}
     total = sum(len(orbits._expand(Z225, base)) for base in bases)
     assert total == count_B0_formula(Z225)
 

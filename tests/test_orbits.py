@@ -6,11 +6,6 @@ import pytest
 from kohler_sqs import InvalidInputError, make_group
 from kohler_sqs import orbits
 from kohler_sqs.orbits import (
-    QUAD_Q1,
-    QUAD_Q3,
-    TRIPLE_T,
-    TRIPLE_T1,
-    TRIPLE_T2,
     OrbitRep,
     canonicalize,
     expand_orbit,
@@ -20,12 +15,19 @@ from kohler_sqs.orbits import (
 from util import (
     QUAD_ASYMMETRIC,
     QUAD_E,
+    QUAD_Q1,
+    QUAD_Q3,
+    TRIPLE_T,
+    TRIPLE_T1,
+    TRIPLE_T2,
+    abelian_groups_up_to,
     classify_quadruple,
     in_E_by_definition,
     in_T_by_definition,
     is_symmetric,
     quadruple_orbit_reps,
     through_zero_sets,
+    triple_family_by_definition,
     triple_orbit_reps,
 )
 
@@ -68,6 +70,22 @@ def test_expand_orbit_sizes():
     assert len(expand_orbit(Z10, canonicalize(Z10, t(0, 1, 3, 4)))) == 10
     sub = ((0, 0), (2, 0), (0, 2), (2, 2))
     assert len(expand_orbit(Z44, canonicalize(Z44, sub))) == 4
+
+
+def test_expand_matches_the_translates_of_the_subset_and_its_negative():
+    for g in (Z10, Z225, Z44, make_group([16])):
+        elements = g.elements()
+        # the Cayley table and negation in codes, from the tuple arithmetic
+        add = [[g.encode(g.add(x, y)) for y in elements] for x in elements]
+        neg = [g.encode(g.neg(x)) for x in elements]
+        for k in (3, 4):
+            for subset in combinations(range(g.order), k):
+                expected = {
+                    tuple(sorted(add[p][a] for p in side))
+                    for side in (subset, [neg[p] for p in subset])
+                    for a in range(g.order)
+                }
+                assert orbits._expand(g, subset) == expected, (str(g), subset)
 
 
 # In a cyclic group the code of (x,) is x, so the kernels below take the
@@ -114,20 +132,35 @@ def test_membership_kernels_agree_with_the_definitions():
 
 def test_classify_triple_examples():
     neg, double = Z10.neg_table, Z10.double_table
-    assert orbits._classify_triple(neg, double, 1, 9) == TRIPLE_T1
-    assert orbits._classify_triple(neg, double, 1, 5) == TRIPLE_T2
-    assert orbits._classify_triple(neg, double, 1, 3) == TRIPLE_T
+    for a, b, family in ((1, 9, TRIPLE_T1), (1, 5, TRIPLE_T2), (1, 3, TRIPLE_T)):
+        assert triple_family_by_definition(Z10, (a,), (b,)) == family
+        assert orbits._in_T(neg, double, a, b) == (family == TRIPLE_T)
+    # {0, 1, 3} in Z4 is {0, x, -x} and has the translate {0, 1, 2} through
+    # the involution 2: T1 wins
+    Z4 = make_group([4])
+    assert t(0, 1, 2) in through_zero_sets(Z4, t(0, 1, 3))
+    assert triple_family_by_definition(Z4, (1,), (3,)) == TRIPLE_T1
 
 
 def test_classify_triple_trichotomy_exhaustive():
-    for g in (Z10, make_group([14]), Z225, Z44):
+    # every triple orbit has exactly one family, the vertex family T is the
+    # complement of T1 and T2, and _in_T holds exactly on T
+    families = set()
+    for g in abelian_groups_up_to(40):
         neg, double = g.neg_table, g.double_table
-        for triple in combinations(range(g.order), 3):
-            _, a, b = orbits._canonical(g, triple)
-            tag = orbits._classify_triple(neg, double, a, b)
-            assert tag in (TRIPLE_T, TRIPLE_T1, TRIPLE_T2)
-            # the vertex family is exactly the complement of the special families
-            assert (tag == TRIPLE_T) == in_T_by_definition(g, g.decode(a), g.decode(b))
+        by_orbit: dict[frozenset, set[str]] = {}
+        for a, b in combinations(range(1, g.order), 2):
+            x, y = g.decode(a), g.decode(b)
+            family = triple_family_by_definition(g, x, y)
+            assert orbits._in_T(neg, double, a, b) == (family == TRIPLE_T) == in_T_by_definition(g, x, y), (
+                str(g),
+                x,
+                y,
+            )
+            by_orbit.setdefault(through_zero_sets(g, (g.zero, x, y)), set()).add(family)
+        assert all(len(seen) == 1 for seen in by_orbit.values()), str(g)
+        families.update(*by_orbit.values())
+    assert families == {TRIPLE_T, TRIPLE_T1, TRIPLE_T2}
 
 
 def test_classify_quadruple_examples():
@@ -178,9 +211,10 @@ def test_membership_tests_are_orbit_invariant():
         by_orbit_t: dict[tuple, set[tuple[bool, str]]] = {}
         for a, b in combinations(range(1, g.order), 2):
             base = orbits._canonical(g, (0, a, b))
-            tags = (orbits._in_T(neg, double, a, b), orbits._classify_triple(neg, double, a, b))
+            tags = (orbits._in_T(neg, double, a, b), triple_family_by_definition(g, g.decode(a), g.decode(b)))
             by_orbit_t.setdefault(base, set()).add(tags)
         assert all(len(vals) == 1 for vals in by_orbit_t.values())
+        assert all(in_t == (family == TRIPLE_T) for vals in by_orbit_t.values() for in_t, family in vals)
 
         by_orbit_e: dict[tuple, set[bool]] = {}
         for a, b in combinations(range(1, g.order), 2):

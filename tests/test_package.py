@@ -1,3 +1,5 @@
+import pkgutil
+
 import kohler_sqs
 
 # the package's public names; a change to this list is an API change
@@ -42,3 +44,9 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert kohler_sqs.__all__ == PUBLIC_NAMES
     assert all(hasattr(kohler_sqs, name) for name in PUBLIC_NAMES)
+
+
+def test_runtime_modules_are_pinned():
+    # test-only oracles and fixtures live under tests/, not in the package
+    modules = sorted(info.name for info in pkgutil.iter_modules(kohler_sqs.__path__))
+    assert modules == ["__main__", "cli", "engine", "errors", "groups", "kohler", "matching", "orbits"]

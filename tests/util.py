@@ -19,9 +19,20 @@ from itertools import combinations, product
 from kohler_sqs import ConstructionFailure, Design, InvalidInputError, construct_design, kohler, make_group, orbits
 from kohler_sqs.engine import B0_TAG, FACTOR_TAG_PREFIX
 from kohler_sqs.groups import Element, Group
-from kohler_sqs.orbits import QUAD_Q1, QUAD_Q2, QUAD_Q3, Codes, OrbitRep, canonicalize
+from kohler_sqs.orbits import Codes, OrbitRep, canonicalize
 
+# triple families: the vertex family T, orbits of {0, a, -a} (T1) and orbits
+# of {0, a, h} with h an involution (T2)
+TRIPLE_T = "T"
+TRIPLE_T1 = "T1"
+TRIPLE_T2 = "T2"
+
+# quadruple families: the edge family E, the forced families Q1, Q2 and Q3
+# that make up B0, and the orbits of asymmetric quadruples
 QUAD_E = "E"
+QUAD_Q1 = "Q1"
+QUAD_Q2 = "Q2"
+QUAD_Q3 = "Q3"
 QUAD_ASYMMETRIC = "Asymmetric"
 
 
@@ -470,6 +481,20 @@ def through_zero_sets(g: Group, points) -> frozenset[tuple[Element, ...]]:
     pts = tuple(points)
     negs = tuple(g.neg(p) for p in pts)
     return frozenset(tuple(sorted(g.sub(p, x) for p in side)) for side in (pts, negs) for x in side)
+
+
+def triple_family_by_definition(g: Group, a: Element, b: Element) -> str:
+    """The family of the orbit of {0, a, b}, read off its members through 0:
+    T1 when one is {0, x, -x}, else T2 when one is {0, x, h} with 2h = 0,
+    else T.  T1 wins where the two overlap ({0, x, -x} with 4x = 0 has the
+    translate {0, x, 2x})."""
+    zero = g.zero
+    pairs = [tuple(x for x in member if x != zero) for member in through_zero_sets(g, (zero, a, b))]
+    if any(y == g.neg(x) for x, y in pairs):
+        return TRIPLE_T1
+    if any(g.double(x) == zero for pair in pairs for x in pair):
+        return TRIPLE_T2
+    return TRIPLE_T
 
 
 def classify_quadruple(g: Group, rep: OrbitRep, h0: Element | None = None) -> str:

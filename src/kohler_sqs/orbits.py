@@ -8,10 +8,10 @@ quadruple contains members through 0, and all of them arise as ``X - x`` or
 least of those candidates.  Two subsets lie in the same orbit exactly when
 their canonical forms coincide.
 
-The construction asks two questions of a family: is a triple orbit in the
-vertex family T (the Koehler-graph vertices, :func:`_in_T`), and is a
-quadruple orbit in the edge family E (:func:`_in_E`)?  The triple orbits
-outside T are the special ones, which the forced blocks B0 cover.
+Two families matter to the construction: the vertex family T of triple
+orbits (the Koehler-graph vertices, :func:`_in_T`) and the edge family E of
+quadruple orbits (:func:`_in_E`).  The triple orbits outside T are the
+special ones, which the forced blocks B0 cover.
 
 Every function here works on element codes (see :mod:`kohler_sqs.groups`);
 the public ones take and return coordinate tuples and convert at the

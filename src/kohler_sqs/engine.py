@@ -72,11 +72,12 @@ def choose_h0(g: Group) -> Element:
 
     Unique when the Sylow 2-subgroup is cyclic; an explicit override is
     accepted everywhere h0 matters, since any involution yields a valid
-    construction.
+    construction.  Code order is lex order, so this is the least code h > 0
+    with 2h = 0.
     """
     if g.order % 2 == 1:
         raise NoInvolutionError(f"{g} has odd order {g.order}, no element of order 2")
-    return min(x for x in g.omega1 if x != g.zero)
+    return g.decode(g.double_table.index(0, 1))
 
 
 def _validate_h0(g: Group, h0: Element) -> Element:
@@ -86,27 +87,35 @@ def _validate_h0(g: Group, h0: Element) -> Element:
     return h0
 
 
-def _b0_bases(g: Group, h0: Element) -> set[Codes]:
-    """Canonical bases of the forced orbits Q1, Q2 and Q3 as codes."""
+def _b0_bases(g: Group, h0: Element) -> list[Codes]:
+    """One base of each forced orbit Q1, Q2 and Q3, as codes, each orbit met
+    once: no canonical form, no set.
+
+    For an involution h and a with 2a != 0, the members through 0 that
+    contain h of the orbit of {0, a, -a, h0} (Q1, h = h0) or of {0, a, h,
+    h+a} (Q2, h != h0, 2a != h) are those made by replacing a with -a, h+a
+    or h-a, so the orbit is kept when a is the least of the four; h-a = a
+    only when 2a = h, which Q1 alone allows.  A Q3 block {0, h, h', h+h'} is
+    a subgroup, its orbit's only member through 0, kept when h' < h+h'.
+    """
     require_sqs_order(g)
-    _validate_h0(g, h0)
-    h0_code = g.encode(h0)
-    neg, double = g.neg_table, g.double_table
+    neg, double = g.neg_table, g.double_table  # the capacity is checked before h0
+    h0_code = g.encode(_validate_h0(g, h0))
     involutions = [h for h in range(1, g.order) if double[h] == 0]
     outside = [a for a in range(g.order) if double[a] != 0]
-    bases = {orbits._canonical(g, (0, a, neg[a], h0_code)) for a in outside}
-    # Q2 and Q3 blocks have the shape {0, a, b, a+b}, with b - a = h - a and
-    # b - a = h' + h (an involution is its own negative)
-    for h in involutions:
-        if h == h0_code:
-            continue
+    bases: list[Codes] = []
+    for h in involutions if outside else ():  # no row when nothing lies outside
         plus = g.translation(h)
-        for a in outside:
-            if double[a] != h:
-                bases.add(orbits._canonical_edge(neg, a, h, plus[a], plus[neg[a]]))
+        if h == h0_code:
+            keep = [a for a in outside if a < neg[a] and a < plus[a] and a <= plus[neg[a]]]
+            bases += [tuple(sorted((0, a, neg[a], h))) for a in keep]
+        else:
+            keep = [a for a in outside if double[a] != h and a < neg[a] and a < plus[a] and a < plus[neg[a]]]
+            bases += [tuple(sorted((0, a, h, plus[a]))) for a in keep]
     for h, hp in combinations(involutions, 2):
         s = g.add_codes(h, hp)
-        bases.add(orbits._canonical_edge(neg, h, hp, s, s))
+        if hp < s:
+            bases.append((0, h, hp, s))
     return bases
 
 
@@ -197,6 +206,8 @@ class Design:
             raise InvalidInputError(f"blocks must be 4 increasing element codes below {v}: {block!r}")
         if len(self.codes) != len(self.provenance):
             raise InvalidInputError("provenance must align with blocks")
+        if set(map(type, self.provenance)) - {str}:
+            raise InvalidInputError("design provenance must be a list of strings")
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -376,7 +387,7 @@ def _assemble(
 def _design_bases(
     g: Group, h0: Element, graph: kohler.KohlerGraph, factor: matching.Matching
 ) -> list[tuple[Codes, str]]:
-    """The canonical base of each orbit of the design, with the provenance
+    """One base of each orbit of the design, with the provenance
     of its blocks: B0's forced orbits, then one edge orbit per 1-factor edge."""
     tagged = [(base, B0_TAG) for base in _b0_bases(g, h0)]
     tagged += [(graph.edge_codes[i], f"{FACTOR_TAG_PREFIX}{i}") for i in factor.matched_edges]

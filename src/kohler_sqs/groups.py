@@ -201,7 +201,7 @@ class Group:
             )
         )
 
-    # -- enumeration and derived subsets ------------------------------------
+    # -- enumeration and subset sizes ---------------------------------------
 
     def check_capacity(self) -> None:
         cap = max_order_limit()
@@ -220,25 +220,15 @@ class Group:
     def _element_tuple(self) -> tuple[Element, ...]:
         return tuple(product(*(range(d) for d in self.factors)))
 
-    @cached_property
-    def omega1(self) -> tuple[Element, ...]:
-        """Elements killed by 2 (including 0), in lex order."""
-        self.check_capacity()
-        return tuple(product(*(range(0, d, d // math.gcd(2, d)) for d in self.factors)))
-
-    @cached_property
-    def omega2(self) -> tuple[Element, ...]:
-        """Elements killed by 4 (including 0), in lex order."""
-        self.check_capacity()
-        return tuple(product(*(range(0, d, d // math.gcd(4, d)) for d in self.factors)))
-
     @property
     def omega1_size(self) -> int:
-        return len(self.omega1)
+        """|Omega_1|, the number of elements killed by 2 (including 0)."""
+        return math.prod(math.gcd(2, d) for d in self.factors)
 
     @property
     def omega2_size(self) -> int:
-        return len(self.omega2)
+        """|Omega_2|, the number of elements killed by 4 (including 0)."""
+        return math.prod(math.gcd(4, d) for d in self.factors)
 
     def __str__(self) -> str:
         return "Z" + "xZ".join(str(d) for d in self.factors)

@@ -87,21 +87,6 @@ def _triple_pairs(neg, a: int, b: int, ba: int) -> tuple[tuple[int, int], ...]:
     return tuple((x, y) if x < y else (y, x) for x, y in pairs)
 
 
-def _canonical_edge(neg, a: int, b: int, s: int, ba: int) -> Codes:
-    """Canonical base of the orbit of {0, a, b, s} with ``s = a + b``, given
-    ``ba = b - a``.  Its differences all lie in +-a, +-b, +-(b-a) and +-s;
-    the members through 0 are ``X - x`` and ``-X + x`` for x in {0, a, b},
-    since x = s repeats x = 0 with the sides swapped."""
-    na, nb, nba = neg[a], neg[b], neg[ba]
-    return (
-        0,
-        *min(
-            tuple(sorted(m))
-            for m in ((a, b, s), (na, nb, neg[s]), (na, ba, b), (a, nba, nb), (nb, nba, a), (b, ba, na))
-        ),
-    )
-
-
 def canonicalize(g: Group, points) -> OrbitRep:
     """Canonical representative of the orbit of a 3- or 4-subset."""
     return OrbitRep(g, _decoded(g.elements(), _canonical(g, _validated_points(g, points))))

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -38,13 +39,17 @@ from util import (
     QUAD_Q1,
     QUAD_Q2,
     QUAD_Q3,
+    abelian_groups_up_to,
+    b0_bases_by_canonicalizing,
     b0_blocks,
     classify_quadruple,
     constructed_designs,
     coverage_violations_by_counting,
     design_json_dict,
     factor_edge_indices,
+    formula_neighbors,
     is_symmetric,
+    killed_by,
     quadruple_orbit_reps,
     reversibility_violations_by_sorting,
 )
@@ -485,6 +490,38 @@ def test_diagnostics_respect_capacity(monkeypatch):
     assert diag["unevaluated_primes"] == [101]
 
 
+def test_b0_bases_meet_each_forced_orbit_once():
+    # one base per orbit of the canonicalize-and-deduplicate reference, for
+    # up to three choices of h0 on every admissible group
+    cases = 0
+    for g in abelian_groups_up_to(64):
+        if not engine.sqs_order_ok(g.order):
+            continue
+        for h0 in [x for x in killed_by(g, 2) if x != g.zero][:3]:
+            bases = engine._b0_bases(g, h0)
+            canonical = {orbits._canonical(g, base) for base in bases}
+            assert canonical == b0_bases_by_canonicalizing(g, h0), (g, h0)
+            assert len(canonical) == len(bases), (g, h0)
+            cases += 1
+    assert cases == 116
+
+
+def test_pipeline_canonicalizes_nothing(monkeypatch):
+    calls = _count_calls(monkeypatch, orbits, "_canonical")
+    construct_design(Z225)
+    g26 = make_group([2] * 6)
+    engine.count_B0(g26, choose_h0(g26))
+    existence_check(make_group([196]))
+    assert calls == []
+
+
+def test_b0_on_an_elementary_abelian_2_group_builds_no_translation_row(monkeypatch):
+    g = make_group([2] * 6)
+    calls = _count_calls(monkeypatch, type(g), "translation")
+    assert engine.count_B0(g, choose_h0(g)) == count_B0_formula(g)
+    assert calls == []
+
+
 def test_b0_orbit_reps_tags():
     h0 = (1, 0, 0)
     bases = engine._b0_bases(Z225, h0)
@@ -497,6 +534,13 @@ def test_b0_orbit_reps_tags():
 def test_design_provenance_alignment_checked():
     with pytest.raises(InvalidInputError):
         Design(group=Z10, h0=(5,), codes=((0, 1, 3, 4),), provenance=())
+
+
+@pytest.mark.parametrize("tag", [1, None, b"B0", ("B0",)], ids=repr)
+def test_design_rejects_provenance_tags_that_are_not_strings(tag):
+    # such a design would be written as JSON that design_from_json_dict refuses
+    with pytest.raises(InvalidInputError, match="provenance must be a list of strings"):
+        Design(group=make_group([4]), h0=(2,), codes=((0, 1, 2, 3),), provenance=(tag,))
 
 
 @pytest.mark.parametrize("block", [(0, 1, 3, 10), (1, 0, 3, 4), (0, 1, 1, 4), (0, 1, 3)])
@@ -517,6 +561,56 @@ def test_construction_encodes_no_block(monkeypatch):
     assert tuple_b0 == []
     assert design.blocks == tuple(tuple(map(Z44.decode, block)) for block in design.codes)
     assert len(verdict.design.codes) == 30
+
+
+@lru_cache(maxsize=None)
+def _one_factor_outcomes(max_v: int) -> tuple:
+    """(group, witness) for every admissible abelian group of order at most
+    ``max_v``: the witness component of its Koehler graph as representatives,
+    or None when the graph has a 1-factor."""
+    out = []
+    for g in abelian_groups_up_to(max_v):
+        if not engine.sqs_order_ok(g.order):
+            continue
+        graph = build_graph(g)
+        try:
+            matching.one_factor(graph.adjacency)
+            out.append((g, None))
+        except matching.NoPerfectMatching as exc:
+            out.append((g, ConstructionFailure(graph, exc.component).component))
+    return tuple(out)
+
+
+def test_per_prime_criterion_decides_cyclic_sylow2_groups():
+    # a group with cyclic Sylow 2-subgroup has a 1-factor exactly when its
+    # residues allow one and so does Z_2p for every odd prime p dividing v
+    cyclic = [(g, witness) for g, witness in _one_factor_outcomes(130) if g.is_sylow2_cyclic]
+    assert len(cyclic) == 47
+    for g, witness in cyclic:
+        diag = condition_iv_diagnostics(g)
+        assert diag["unevaluated_primes"] == [], g
+        criterion = diag["residues_ok"] and all(c["has_one_factor"] for c in diag["prime_checks"])
+        assert (witness is None) == criterion, g
+
+
+def test_witness_component_is_a_tutte_certificate():
+    # the failing component, with neighbours recomputed from its
+    # representatives alone, is closed, connected and odd: a set of vertices
+    # whose removal (none) leaves an odd component, so no 1-factor exists
+    failures = [(g, witness) for g, witness in _one_factor_outcomes(130) if witness is not None]
+    assert len(failures) == 62
+    for g, witness in failures:
+        members = set(witness)
+        assert len(members) == len(witness) and len(witness) % 2 == 1, g
+        assert all(canonicalize(g, rep.base) == rep for rep in witness), g
+        nbrs = {rep: formula_neighbors(g, rep) for rep in witness}
+        assert all(n <= members for n in nbrs.values()), g
+        reached, stack = {witness[0]}, [witness[0]]
+        while stack:
+            for n in nbrs[stack.pop()] - reached:
+                reached.add(n)
+                stack.append(n)
+        assert reached == members, g
 
 
 def test_existence_sweep_is_coherent():

@@ -9,6 +9,7 @@ from kohler_sqs import (
     InvalidInputError,
     InvalidSpecError,
     canonicalize,
+    choose_h0,
     make_group,
     parse_group_spec,
 )
@@ -19,6 +20,7 @@ from util import (
     element_order,
     exponent,
     invariant_factors,
+    killed_by,
     scale,
     subgroup_generated,
     through_zero_sets,
@@ -92,9 +94,10 @@ def test_omega_examples():
 
 
 def test_omega_sets_are_correct():
-    for g in (make_group([4, 4]), make_group([2, 2, 5]), make_group([20])):
-        assert set(g.omega1) == {x for x in g.elements() if scale(g, 2, x) == g.zero}
-        assert set(g.omega2) == {x for x in g.elements() if scale(g, 4, x) == g.zero}
+    # the closed-form sizes against the sets Omega_1 and Omega_2 by definition
+    for g in abelian_groups_up_to(64) + [make_group([4, 4]), make_group([2, 2, 5]), make_group([2, 6, 8])]:
+        assert g.omega1_size == len(killed_by(g, 2)), g
+        assert g.omega2_size == len(killed_by(g, 4)), g
 
 
 def test_subgroup_generated_examples():
@@ -215,12 +218,9 @@ def test_code_tables_honour_capacity(monkeypatch):
         g.encode((0, 0))
     with pytest.raises(CapacityError):
         g.neg_table
-    # 2^14 elements: Omega_1 and Omega_2 are the whole group
-    wide = make_group([2] * 14)
+    # 2^14 elements: h0 is looked for in the doubling table, which is refused
     with pytest.raises(CapacityError):
-        wide.omega1
-    with pytest.raises(CapacityError):
-        wide.omega2
+        choose_h0(make_group([2] * 14))
     monkeypatch.setenv(MAX_ORDER_ENV_VAR, "11000")
     assert g.encode((100, 100)) == 10200
     assert g.neg_table[1] == 100

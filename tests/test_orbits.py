@@ -25,6 +25,7 @@ from util import (
     in_E_by_definition,
     in_T_by_definition,
     is_symmetric,
+    killed_by,
     quadruple_orbit_reps,
     through_zero_sets,
     triple_family_by_definition,
@@ -242,7 +243,7 @@ def test_unique_containment_in_edge_orbits():
 
 def test_symmetry_classification_equivalence_exhaustive():
     for g in (Z10, make_group([14]), make_group([16]), Z225):
-        h0 = min(x for x in g.omega1 if x != g.zero)
+        h0 = min(x for x in killed_by(g, 2) if x != g.zero)
         for quad in combinations(g.elements(), 4):
             rep = canonicalize(g, quad)
             tag = classify_quadruple(g, rep, h0)

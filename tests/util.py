@@ -159,6 +159,7 @@ def isolated_by_characterization(g: Group, base) -> bool:
     8c = 0, or some [c, -c + h] with 6c = 0 and 2h = 0.
     """
     zero = g.zero
+    omega1 = killed_by(g, 2)
     for c in g.elements():
         if c == zero:
             continue
@@ -167,7 +168,7 @@ def isolated_by_characterization(g: Group, base) -> bool:
             if tc not in (zero, c) and canonicalize(g, (zero, c, tc)).base == base:
                 return True
         if scale(g, 6, c) == zero:
-            for h in g.omega1:
+            for h in omega1:
                 d = g.add(g.neg(c), h)
                 if d not in (zero, c) and canonicalize(g, (zero, c, d)).base == base:
                     return True
@@ -217,6 +218,11 @@ def rows_from_edges(n: int, edges) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def scale(g: Group, n: int, x: Element) -> Element:
     return tuple((n * p) % d for p, d in zip(x, g.factors))
+
+
+def killed_by(g: Group, n: int) -> list[Element]:
+    """The elements x with n*x = 0, in lex order: Omega_1 for n = 2, Omega_2 for n = 4."""
+    return [x for x in g.elements() if scale(g, n, x) == g.zero]
 
 
 def exponent(g: Group) -> int:
@@ -393,6 +399,22 @@ def _canonical_triple(neg, a: int, b: int, ba: int) -> Codes:
     return (0, *min([(x, y) if x < y else (y, x) for x, y in pairs]))
 
 
+def b0_bases_by_canonicalizing(g: Group, h0: Element) -> set[Codes]:
+    """The reference for ``engine._b0_bases``: canonicalize the base of every
+    forced quadruple met, {0, a, -a, h0} (Q1), {0, a, h, h+a} (Q2) and
+    {0, h, h', h+h'} (Q3), and deduplicate."""
+    h0_code = g.encode(h0)
+    neg, double, add = g.neg_table, g.double_table, g.add_codes
+    involutions = [h for h in range(1, g.order) if double[h] == 0]
+    outside = [a for a in range(g.order) if double[a] != 0]
+    bases = {orbits._canonical(g, (0, a, neg[a], h0_code)) for a in outside}
+    for h in involutions:
+        if h != h0_code:
+            bases.update(orbits._canonical(g, (0, a, h, add(h, a))) for a in outside if double[a] != h)
+    bases.update(orbits._canonical(g, (0, h, hp, add(h, hp))) for h, hp in combinations(involutions, 2))
+    return bases
+
+
 def koehler_graph_by_pair_scan(g: Group) -> kohler.KohlerGraph:
     """The reference for ``kohler.build_graph``: scan all unordered pairs of
     nonzero codes, canonicalize every T triple and E quadruple met, and
@@ -413,7 +435,7 @@ def koehler_graph_by_pair_scan(g: Group) -> kohler.KohlerGraph:
                 vertex_bases.add(_canonical_triple(neg, a, b, ba))
             s = plus[b]
             if s != 0 and s != a and s != b and orbits._in_E(neg, double, a, b):
-                base = orbits._canonical_edge(neg, a, b, s, ba)
+                base = orbits._canonical(g, (0, a, b, s))
                 if base not in edge_ends:
                     # the triples of {0, a, b, a+b} lie in the orbits [a, b] and
                     # [a, a+b] (the decomposition is unique up to swapping a
@@ -509,7 +531,7 @@ def classify_quadruple(g: Group, rep: OrbitRep, h0: Element | None = None) -> st
     """
     base = rep.base
     zero = g.zero
-    omega1 = set(g.omega1)
+    omega1 = set(killed_by(g, 2))
     base_nonzero = base[1:]
 
     sum_decompositions = [

@@ -95,7 +95,7 @@ def test_omega_examples():
 
 def test_omega_sets_are_correct():
     # the closed-form sizes against the sets Omega_1 and Omega_2 by definition
-    for g in abelian_groups_up_to(64) + [make_group([4, 4]), make_group([2, 2, 5]), make_group([2, 6, 8])]:
+    for g in abelian_groups_up_to(64) + [make_group([2, 6, 8]), make_group([3, 12, 20])]:
         assert g.omega1_size == len(killed_by(g, 2)), g
         assert g.omega2_size == len(killed_by(g, 4)), g
 

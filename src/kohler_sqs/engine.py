@@ -204,10 +204,10 @@ class Design:
                 if type(p) is type(q) is type(r) is type(s) is int and 0 <= p < q < r < s < v:
                     continue
             raise InvalidInputError(f"blocks must be 4 increasing element codes below {v}: {block!r}")
-        if len(self.codes) != len(self.provenance):
-            raise InvalidInputError("provenance must align with blocks")
         if set(map(type, self.provenance)) - {str}:
             raise InvalidInputError("design provenance must be a list of strings")
+        if len(self.codes) != len(self.provenance):
+            raise InvalidInputError("provenance must align with blocks")
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -258,9 +258,9 @@ def design_from_json_dict(payload: dict) -> Design:
         h0 = _validate_h0(g, tuple(payload["h0"]))
         blocks = (map(tuple, block) for block in payload["blocks"])
         codes = _encode_blocks(g, blocks)
-        # checked after the blocks, so that a bad block is named first
+        # checked after the blocks, so that a bad block is named first; Design checks the tags
         provenance = payload["provenance"]
-        if type(provenance) is not list or set(map(type, provenance)) - {str}:
+        if type(provenance) is not list:
             raise InvalidInputError("design provenance must be a list of strings")
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed design payload: {exc}") from exc
@@ -429,10 +429,21 @@ def verify_design(g: Group, blocks) -> VerificationReport:
 
 
 def _design_report(g: Group, codes: tuple[Codes, ...]) -> VerificationReport:
+    """The report on ``codes``.  Distinct blocks with no image missing form a
+    set invariant under translations and negation, which preserve symmetry,
+    and each block has a translate through 0: the set is a reversible SQS
+    exactly when its blocks through 0 are symmetric and pass
+    :func:`_covers_pairs_once`.  A repeated block that misses 0 changes
+    neither the images nor the pairs through 0.  Anything else is listed."""
     # a group over the limit is refused before any Θ(v³) triple work
     g.check_capacity()
+    distinct, missing = _missing_images(g, codes)
+    if distinct and not any(blocks for _, blocks in missing):
+        through_zero = [b for b in codes if b[0] == 0]
+        if not orbits._asymmetric(g, through_zero) and _covers_pairs_once(g.order, through_zero):
+            return VerificationReport(is_sqs=True, is_reversible=True)
     coverage = _coverage_violations(g, codes)
-    asymmetric, violations = _reversibility_violations(g, codes)
+    asymmetric, violations = _reversibility_violations(g, codes, missing)
     return VerificationReport(
         is_sqs=not coverage,
         is_reversible=not asymmetric and not violations,
@@ -442,53 +453,64 @@ def _design_report(g: Group, codes: tuple[Codes, ...]) -> VerificationReport:
     )
 
 
+def _covers_pairs_once(v: int, through_zero: list[Codes]) -> bool:
+    """Do the blocks {0, p, q, r} cover C(v-1, 2) pairs {p, q}, {p, r}, {q, r}
+    of nonzero codes with none repeated?  For a translation-invariant block
+    set that is exact triple coverage: translating by -x maps the blocks on
+    {x, y, z} onto those on {0, y-x, z-x}."""
+    pairs: list[int] = []
+    for _, p, q, r in through_zero:
+        pairs += (p * v + q, p * v + r, q * v + r)
+    return len(pairs) == comb(v - 1, 2) and len(set(pairs)) == len(pairs)
+
+
 def _orbits_form_sqs(g: Group, bases: list[Codes]) -> bool:
     """Are the orbits of ``bases`` the blocks of a reversible SQS on ``g``?
-
-    Every base must be symmetric.  The union of the orbits is invariant, and
-    its blocks are symmetric, by construction.  Translating by -x maps the
-    blocks on a triple {x, y, z} onto those on {0, y-x, z-x}, so every
-    triple lies in exactly one block when every triple through 0 does.  The
-    blocks through 0 are the distinct through-0 members of the orbits, each
-    {0, p, q, r} covering the pairs {p, q}, {p, r} and {q, r}: the orbits
-    form an SQS exactly when those pairs number C(v-1, 2) and none repeats.
-    A base listed twice, or two bases of one orbit, repeat every pair."""
+    Their union is invariant, and symmetric when every base is; its blocks
+    through 0, the distinct through-0 members of the orbits, must pass
+    :func:`_covers_pairs_once`, which a base listed twice, or two bases of
+    one orbit, fail by repeating every pair."""
     if orbits._asymmetric(g, bases):
         return False
-    v = g.order
-    pairs: list[int] = []
-    for base in bases:
-        for _, p, q, r in set(orbits._through_zero_candidates(g, base)):
-            pairs += (p * v + q, p * v + r, q * v + r)
-    return len(pairs) == comb(v - 1, 2) and len(set(pairs)) == len(pairs)
+    through_zero = [member for base in bases for member in set(orbits._through_zero_candidates(g, base))]
+    return _covers_pairs_once(g.order, through_zero)
+
+
+def _missing_images(g: Group, codes: tuple[Codes, ...]) -> tuple[bool, list[tuple[str, set[Codes]]]]:
+    """Whether the blocks are distinct, and per coordinate generator and
+    negation the blocks whose image under that map is missing.  A block's
+    mask ``bit[p] | bit[q] | bit[r] | bit[s]``, ``bit[x] = 1 << x``, is the
+    same for four codes in any order, so an image needs no sort."""
+    bit = [1 << x for x in range(g.order)]
+    present = {bit[p] | bit[q] | bit[r] | bit[s] for p, q, r, s in codes}
+    images = []
+    for i in range(len(g.factors)):
+        gen = [0] * len(g.factors)
+        gen[i] = 1
+        row = g.translation(g.encode(tuple(gen)))
+        images.append((f"translate+{tuple(gen)}", [bit[y] for y in row]))
+    images.append(("negate", [bit[y] for y in g.neg_table]))
+    missing = [
+        (label, {(p, q, r, s) for p, q, r, s in codes if image[p] | image[q] | image[r] | image[s] not in present})
+        for label, image in images
+    ]
+    return len(present) == len(codes), missing
 
 
 def _coverage_violations(g: Group, codes: tuple[Codes, ...]) -> tuple[tuple[Subset, int], ...]:
     """Triples covered other than once, with their counts, in lex order.
 
     A triple x < y < z of codes is packed as ``(x*v + y)*v + z``, which keeps
-    lexicographic order.  The set of packed triples answers a valid design
-    and, when no triple repeats, lists the missing ones; only a repeated
-    triple needs the counts, and the set is freed before they are made, so
-    that the two are never held together."""
+    lexicographic order; a packed triple that no block counts is missing."""
     v = g.order
     packed = []
     for p, q, r, s in codes:
         pq, pr = (p * v + q) * v, (p * v + r) * v
         packed += (pq + r, pq + s, pr + s, (q * v + r) * v + s)
-    total = comb(v, 3)
-    covered: set[int] | Counter[int] = set(packed)
-    if len(covered) == len(packed):
-        if len(packed) == total:
-            return ()
-        violations = []
-    else:
-        del covered
-        covered = Counter(packed)
-        violations = [(t, c) for t, c in covered.items() if c != 1]
-    del packed
-    if len(covered) < total:
-        violations += ((t, 0) for t in filterfalse(covered.__contains__, _packed_triples(v)))
+    counts = Counter(packed)
+    violations = [(t, c) for t, c in counts.items() if c != 1]
+    if len(counts) < comb(v, 3):
+        violations += ((t, 0) for t in filterfalse(counts.__contains__, _packed_triples(v)))
     violations.sort()
     elements = g.elements()
     return tuple(
@@ -505,38 +527,14 @@ def _packed_triples(v: int):
 
 
 def _reversibility_violations(
-    g: Group, codes: tuple[Codes, ...]
+    g: Group, codes: tuple[Codes, ...], missing: list[tuple[str, set[Codes]]]
 ) -> tuple[tuple[Block, ...], tuple[tuple[Block, str], ...]]:
-    """Asymmetric blocks, and blocks whose image under a coordinate
-    generator or negation is missing, both in lex order of the distinct
-    blocks.
-
-    A block is looked up by its bitmask ``bit[p] | bit[q] | bit[r] | bit[s]``
-    with ``bit[x] = 1 << x``: four distinct codes give one mask in any order,
-    so an image needs no sort.  One pass per map collects the blocks whose
-    image is missing.  Once every image is present the set is invariant under
-    all translations and negation, both of which preserve symmetry, and every
-    block has a translate through code 0; so the blocks through 0 are all
-    symmetric exactly when every block is, and only they are tested.
-    Otherwise every block is tested, to list the asymmetric ones."""
-    bit = [1 << x for x in range(g.order)]
-    present = {bit[p] | bit[q] | bit[r] | bit[s] for p, q, r, s in codes}
-    images = []
-    for i in range(len(g.factors)):
-        gen = [0] * len(g.factors)
-        gen[i] = 1
-        row = g.translation(g.encode(tuple(gen)))
-        images.append((f"translate+{tuple(gen)}", [bit[y] for y in row]))
-    images.append(("negate", [bit[y] for y in g.neg_table]))
-    missing = [
-        (label, {(p, q, r, s) for p, q, r, s in codes if image[p] | image[q] | image[r] | image[s] not in present})
-        for label, image in images
-    ]
-    violators = set().union(*(blocks for _, blocks in missing))
-    if not violators and not orbits._asymmetric(g, [b for b in codes if b[0] == 0]):
-        return (), ()
+    """Asymmetric blocks, and blocks whose image under a map is missing (as
+    :func:`_missing_images` lists them), both in lex order of the distinct
+    blocks."""
     elements = g.elements()
     asymmetric = tuple(orbits._decoded(elements, b) for b in sorted(set(orbits._asymmetric(g, codes))))
+    violators = set().union(*(blocks for _, blocks in missing))
     violations = tuple(
         (orbits._decoded(elements, b), label) for b in sorted(violators) for label, blocks in missing if b in blocks
     )

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -73,14 +74,19 @@ PINNED_VERIFY = {
     ("2,2,5", "drop"): (3, "97fef9d3a76348823da4f700caf2b842ec49aba7e669a6ca6c783280cec5eb43"),
     ("2,2,5", "dup"): (3, "8fd4e4a0de6b14baf12f1c86670682423929c84dbbfd8e889aaa15038e46955a"),
     ("2,2,5", "move"): (3, "ee6f928879e3aadaabf9a6204cde19b7abb6e21d639810de50d5942b6aebf233"),
+    # the last block listed twice; these digests were taken from the
+    # verifier that counted every triple of every design
+    ("2,2,5", "dup-last"): (3, "8355aff7798858c6e3590ddec55a4b13d3675e1e48d603cefc890ba70f739e19"),
     ("4,4", "none"): VERIFY_OK,
     ("4,4", "drop"): (3, "bcc54ae56e18561992b6725fcec81bb5df4a99283ce6c082231db4d0b44bc697"),
     ("4,4", "dup"): (3, "3821e2a644d823c255de56fd5deed3c4a14a096a68cca0c6e03c98f5058d8e61"),
     ("4,4", "move"): (3, "938f9a81f89239e39229ed22f51db24cb9b83d73af2e3f41c2713840985dfa82"),
+    ("4,4", "dup-last"): (3, "bde8e883f711ee8733fc7a9fb71ba8aed46a450ccc65b3d3fbf6f1406b073fd5"),
     ("50", "none"): VERIFY_OK,
     ("50", "drop"): (3, "69f8fc534099ff7b6dc37f6748580f8419935ec1a36e46dfaf071e8a6ee741e7"),
     ("50", "dup"): (3, "670f428399a6dccfb56d4425d3cfe16754a7bc01dd54f5af12f366404027b4d7"),
     ("50", "move"): (3, "ebfcdc6be853df9054baea75f2260cabc5db2c5561ea0c6ccebec112e9e590ab"),
+    ("50", "dup-last"): (3, "3e5292d56dd0dd9b65e2b449e1c4e76d38c45fb7b8c5c28f836ec23ae3a98c21"),
     # v = 100: missing and over-covered triples among C(100, 3) = 161,700
     ("4,25", "move"): (3, "7f2e91300c286c680b510475bc2e907f42b8e7b7ff0a19580ec6951ce179e2cd"),
 }
@@ -93,6 +99,11 @@ def _mutated(payload: dict, mutation: str) -> dict:
     elif mutation == "dup":
         blocks.append(blocks[0])
         provenance.append(provenance[0])
+    elif mutation == "dup-last":
+        # the last block misses 0: listed twice, it leaves the set invariant
+        # and the blocks through 0 as they were
+        blocks.append(blocks[-1])
+        provenance.append(provenance[-1])
     elif mutation == "move":
         block = blocks[5]
         block[3] = next(list(x) for x in product(*(range(d) for d in payload["group"])) if list(x) not in block)
@@ -438,3 +449,30 @@ def test_verify_restores_the_collector(tmp_path, capsys):
 
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The argv of each command in the README's CLI code block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert all(argv[0] == "kohler-sqs" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+def test_readme_cli_commands_run(tmp_path, capsys, monkeypatch):
+    # in the order documented, so the file a construct --out writes is the
+    # one a later verify reads
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    assert ["verify", "d.json"] in commands
+    assert commands.index(["verify", "d.json"]) > commands.index(["construct", "--group", "10", "--out", "d.json"])
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if "--out" in argv:
+            # the document goes to the file instead of stdout
+            assert out == ""
+            out = (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        assert isinstance(json.loads(out), dict), argv

@@ -683,7 +683,7 @@ def _kernel_cases():
 def test_reversibility_kernel_agrees_with_the_sorting_reference():
     outcomes = set()
     for g, codes in _kernel_cases():
-        got = engine._reversibility_violations(g, codes)
+        got = engine._reversibility_violations(g, codes, engine._missing_images(g, codes)[1])
         assert got == reversibility_violations_by_sorting(g, codes), (str(g), len(codes))
         outcomes.add((bool(got[0]), bool(got[1])))
     # valid sets, sets missing an image (some with an asymmetric block), and
@@ -768,6 +768,13 @@ def _base_mutations(g, bases: list):
         yield bases + [other]
 
 
+@lru_cache(maxsize=None)
+def _mutated_bases(design: Design) -> tuple[list, ...]:
+    """:func:`_base_mutations` of the bases ``design`` was assembled from."""
+    bases = _design_bases(design)
+    return tuple(_base_mutations(design.group, bases)) if bases else ()
+
+
 def _sqs20_bases(rows) -> list:
     g = sqs20_group()
     return [orbits._canonical(g, (0, *map(g.encode, row))) for row in rows]
@@ -778,7 +785,7 @@ def test_orbit_verifier_agrees_with_the_block_verifier():
         g, bases = design.group, _design_bases(design)
         assert tuple(sorted(b for base in bases for b in orbits._expand(g, base))) == design.codes
         assert _verdicts(g, bases) == (True, True), str(g)
-        for mutated in _base_mutations(g, bases) if bases else ():
+        for mutated in _mutated_bases(design):
             assert _verdicts(g, mutated) == (False, False), str(g)
     g20 = sqs20_group()
     assert _verdicts(g20, _sqs20_bases(SQS20_ORBITS)) == (True, True)
@@ -803,6 +810,93 @@ def test_construction_refuses_bases_that_fail_the_orbit_verifier(monkeypatch):
     monkeypatch.setattr(engine, "_design_bases", lambda *args: original(*args)[1:])
     with pytest.raises(InternalInconsistencyError):
         construct_design(Z44)
+
+
+def _reference_report(g, codes) -> engine.VerificationReport:
+    """The report on ``codes`` built from the counting and sorting references."""
+    elements = g.elements()
+    coverage = coverage_violations_by_counting(g, [orbits._decoded(elements, b) for b in codes])
+    asymmetric, invariance = reversibility_violations_by_sorting(g, codes)
+    return engine.VerificationReport(
+        is_sqs=not coverage,
+        is_reversible=not asymmetric and not invariance,
+        triple_coverage_violations=coverage,
+        asymmetric_blocks=asymmetric,
+        invariance_violations=invariance,
+    )
+
+
+def _verified_designs() -> list[Design]:
+    """Each construction with v <= 64, and the SQS(20) fixture."""
+    g20 = sqs20_group()
+    codes = engine._encode_blocks(g20, sorted(sqs20_blocks()))
+    return [*constructed_designs(64), _design(g20, codes)]
+
+
+def _design(g, codes) -> Design:
+    return Design(group=g, h0=choose_h0(g), codes=tuple(codes), provenance=(B0_TAG,) * len(codes))
+
+
+def _relabelled(codes: tuple) -> tuple:
+    """``codes`` with the points 1 and 2 swapped: an SQS stays an SQS, and a
+    constructed one is then no longer invariant."""
+    swap = {1: 2, 2: 1}
+    return tuple(sorted(tuple(sorted(swap.get(x, x) for x in block)) for block in codes))
+
+
+def test_valid_designs_are_decided_through_zero_without_counting(monkeypatch):
+    designs = _verified_designs()
+
+    def refuse(*args):
+        raise AssertionError("a valid invariant design needs no triple count")
+
+    tested = []
+    original = orbits._asymmetric
+
+    def counted(group, blocks):
+        blocks = list(blocks)
+        tested.extend(blocks)
+        return original(group, blocks)
+
+    monkeypatch.setattr(engine, "_coverage_violations", refuse)
+    monkeypatch.setattr(orbits, "_asymmetric", counted)
+    for design in designs:
+        tested.clear()
+        assert design.verify() == engine.VerificationReport(is_sqs=True, is_reversible=True), str(design.group)
+        # only the blocks through 0, C(v-1, 2)/3 of them, are tested for symmetry
+        assert len(tested) <= comb(design.group.order - 1, 2) // 3, str(design.group)
+
+
+def test_counting_decides_a_relabelled_sqs_that_is_not_invariant():
+    for g in (Z10, Z44):
+        codes = _relabelled(construct_design(g).codes)
+        report = verify_design(g, [orbits._decoded(g.elements(), block) for block in codes])
+        assert report.is_sqs is True and report.is_reversible is False, str(g)
+        assert report.invariance_violations, str(g)
+        assert report == _reference_report(g, codes), str(g)
+
+
+def test_design_verify_agrees_with_the_counting_references():
+    g20 = sqs20_group()
+    mutated_bases = {design.group: _mutated_bases(design) for design in constructed_designs(64)}
+    mutated_bases[g20] = list(_base_mutations(g20, _sqs20_bases(SQS20_ORBITS)))
+    cases = [(Z10, _relabelled(construct_design(Z10).codes)), (Z44, _relabelled(construct_design(Z44).codes))]
+    for design in _verified_designs():
+        g, codes = design.group, design.codes
+        if not codes:
+            continue
+        # drop, dup and move of the middle block, and dup of the first and
+        # of the last block, which passes through 0 and misses it
+        cases += [(g, mutated) for mutated in _single_block_mutations(codes, g.order)]
+        cases += [(g, codes + codes[:1]), (g, codes + codes[-1:])]
+        for mutated in mutated_bases[g]:
+            cases.append((g, tuple(block for base in mutated for block in orbits._expand(g, base))))
+    verdicts = set()
+    for g, codes in cases:
+        report = _design(g, codes).verify()
+        assert report == _reference_report(g, codes), (str(g), len(codes))
+        verdicts.add((report.is_sqs, report.is_reversible))
+    assert verdicts == {(False, False), (False, True), (True, False)}
 
 
 def test_verify_design_flags_every_single_block_mutation():
@@ -848,14 +942,6 @@ def test_verify_design_flags_every_single_block_mutation():
         assert not by_orbits or mutation == "perturb"
         report = verify_design(g, blocks)
         assert not (report.is_sqs and report.is_reversible)
-        coverage = coverage_violations_by_counting(g, blocks)
-        asymmetric, invariance = reversibility_violations_by_sorting(g, engine._encode_blocks(g, blocks))
-        assert report == engine.VerificationReport(
-            is_sqs=not coverage,
-            is_reversible=not asymmetric and not invariance,
-            triple_coverage_violations=coverage,
-            asymmetric_blocks=asymmetric,
-            invariance_violations=invariance,
-        )
+        assert report == _reference_report(g, engine._encode_blocks(g, blocks))
 
     check()

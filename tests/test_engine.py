@@ -659,8 +659,8 @@ def _single_block_mutations(codes: tuple, v: int):
 
 
 def _kernel_cases():
-    """(group, codes) pairs on which the reversibility kernel must agree with
-    the sorting reference."""
+    """(group, codes) pairs on which the block verifier must agree with the
+    counting and sorting references."""
     g20 = sqs20_group()
     designs = [(d.group, d.codes) for d in constructed_designs(64)]
     designs.append((g20, engine._encode_blocks(g20, sorted(sqs20_blocks()))))
@@ -668,6 +668,9 @@ def _kernel_cases():
         yield g, codes
         if codes:
             yield from ((g, mutated) for mutated in _single_block_mutations(codes, g.order))
+            # the first block, through 0, and the last, which misses 0, listed twice
+            yield g, codes + codes[:1]
+            yield g, codes + codes[-1:]
     for g, codes in designs:
         if g.order >= 10:
             # a whole orbit removed leaves an invariant set of symmetric blocks
@@ -678,17 +681,50 @@ def _kernel_cases():
         base for base in quadruple_orbit_reps(Z10) if classify_quadruple(Z10, OrbitRep(Z10, base)) == QUAD_ASYMMETRIC
     )
     yield Z10, tuple(sorted(orbits._expand(Z10, tuple(map(Z10.encode, asymmetric)))))
+    yield from _relabelled_systems()
+
+
+def _relabelled_systems():
+    """The SQS(10) on Z10 and the SQS(16) on Z4xZ4 with the points 1 and 2
+    swapped: each stays an SQS and is no longer invariant."""
+    swap = {1: 2, 2: 1}
+    for g in (Z10, Z44):
+        codes = construct_design(g).codes
+        yield g, tuple(sorted(tuple(sorted(swap.get(x, x) for x in block)) for block in codes))
+
+
+def _reference_report(g, codes) -> engine.VerificationReport:
+    """The report on ``codes`` built from the counting and sorting references."""
+    elements = g.elements()
+    coverage = coverage_violations_by_counting(g, [orbits._decoded(elements, b) for b in codes])
+    asymmetric, invariance = reversibility_violations_by_sorting(g, codes)
+    return engine.VerificationReport(
+        is_sqs=not coverage,
+        is_reversible=not asymmetric and not invariance,
+        triple_coverage_violations=coverage,
+        asymmetric_blocks=asymmetric,
+        invariance_violations=invariance,
+    )
 
 
 def test_reversibility_kernel_agrees_with_the_sorting_reference():
-    outcomes = set()
+    outcomes, verdicts = set(), set()
     for g, codes in _kernel_cases():
+        expected = _reference_report(g, codes)
         got = engine._reversibility_violations(g, codes, engine._missing_images(g, codes)[1])
-        assert got == reversibility_violations_by_sorting(g, codes), (str(g), len(codes))
+        assert got == (expected.asymmetric_blocks, expected.invariance_violations), (str(g), len(codes))
         outcomes.add((bool(got[0]), bool(got[1])))
+        report = _design(g, codes).verify()
+        assert report == expected, (str(g), len(codes))
+        verdicts.add((report.is_sqs, report.is_reversible))
     # valid sets, sets missing an image (some with an asymmetric block), and
     # the invariant asymmetric orbit
     assert outcomes == {(False, False), (False, True), (True, True), (True, False)}
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+    # only counting accepts the relabelled systems
+    for g, codes in _relabelled_systems():
+        report = verify_design(g, [orbits._decoded(g.elements(), b) for b in codes])
+        assert report.is_sqs and not report.is_reversible and report.invariance_violations, str(g)
 
 
 def test_symmetry_is_tested_on_blocks_through_zero_only_when_invariant(monkeypatch):
@@ -726,10 +762,11 @@ def _design_bases(design: Design) -> list:
 def _verdicts(g, bases) -> tuple[bool, bool]:
     """Whether the orbit verifier accepts ``bases``, and whether the block
     verifier accepts every block of every orbit, an orbit listed twice
-    listing its blocks twice."""
+    listing its blocks twice; its report must equal :func:`_reference_report`."""
     accepted = engine._orbits_form_sqs(g, bases)
     blocks = tuple(block for base in bases for block in orbits._expand(g, base))
-    report = engine._design_report(g, blocks)
+    report = _design(g, blocks).verify()
+    assert report == _reference_report(g, blocks)
     if accepted:
         assert len(blocks) == comb(g.order, 3) // 4
     return accepted, bool(report.is_sqs and report.is_reversible)
@@ -768,13 +805,6 @@ def _base_mutations(g, bases: list):
         yield bases + [other]
 
 
-@lru_cache(maxsize=None)
-def _mutated_bases(design: Design) -> tuple[list, ...]:
-    """:func:`_base_mutations` of the bases ``design`` was assembled from."""
-    bases = _design_bases(design)
-    return tuple(_base_mutations(design.group, bases)) if bases else ()
-
-
 def _sqs20_bases(rows) -> list:
     g = sqs20_group()
     return [orbits._canonical(g, (0, *map(g.encode, row))) for row in rows]
@@ -785,7 +815,7 @@ def test_orbit_verifier_agrees_with_the_block_verifier():
         g, bases = design.group, _design_bases(design)
         assert tuple(sorted(b for base in bases for b in orbits._expand(g, base))) == design.codes
         assert _verdicts(g, bases) == (True, True), str(g)
-        for mutated in _mutated_bases(design):
+        for mutated in _base_mutations(g, bases) if bases else ():
             assert _verdicts(g, mutated) == (False, False), str(g)
     g20 = sqs20_group()
     assert _verdicts(g20, _sqs20_bases(SQS20_ORBITS)) == (True, True)
@@ -812,40 +842,14 @@ def test_construction_refuses_bases_that_fail_the_orbit_verifier(monkeypatch):
         construct_design(Z44)
 
 
-def _reference_report(g, codes) -> engine.VerificationReport:
-    """The report on ``codes`` built from the counting and sorting references."""
-    elements = g.elements()
-    coverage = coverage_violations_by_counting(g, [orbits._decoded(elements, b) for b in codes])
-    asymmetric, invariance = reversibility_violations_by_sorting(g, codes)
-    return engine.VerificationReport(
-        is_sqs=not coverage,
-        is_reversible=not asymmetric and not invariance,
-        triple_coverage_violations=coverage,
-        asymmetric_blocks=asymmetric,
-        invariance_violations=invariance,
-    )
-
-
-def _verified_designs() -> list[Design]:
-    """Each construction with v <= 64, and the SQS(20) fixture."""
-    g20 = sqs20_group()
-    codes = engine._encode_blocks(g20, sorted(sqs20_blocks()))
-    return [*constructed_designs(64), _design(g20, codes)]
-
-
 def _design(g, codes) -> Design:
     return Design(group=g, h0=choose_h0(g), codes=tuple(codes), provenance=(B0_TAG,) * len(codes))
 
 
-def _relabelled(codes: tuple) -> tuple:
-    """``codes`` with the points 1 and 2 swapped: an SQS stays an SQS, and a
-    constructed one is then no longer invariant."""
-    swap = {1: 2, 2: 1}
-    return tuple(sorted(tuple(sorted(swap.get(x, x) for x in block)) for block in codes))
-
-
 def test_valid_designs_are_decided_through_zero_without_counting(monkeypatch):
-    designs = _verified_designs()
+    # each construction with v <= 64, and the SQS(20) fixture
+    g20 = sqs20_group()
+    designs = [*constructed_designs(64), _design(g20, engine._encode_blocks(g20, sorted(sqs20_blocks())))]
 
     def refuse(*args):
         raise AssertionError("a valid invariant design needs no triple count")
@@ -865,38 +869,6 @@ def test_valid_designs_are_decided_through_zero_without_counting(monkeypatch):
         assert design.verify() == engine.VerificationReport(is_sqs=True, is_reversible=True), str(design.group)
         # only the blocks through 0, C(v-1, 2)/3 of them, are tested for symmetry
         assert len(tested) <= comb(design.group.order - 1, 2) // 3, str(design.group)
-
-
-def test_counting_decides_a_relabelled_sqs_that_is_not_invariant():
-    for g in (Z10, Z44):
-        codes = _relabelled(construct_design(g).codes)
-        report = verify_design(g, [orbits._decoded(g.elements(), block) for block in codes])
-        assert report.is_sqs is True and report.is_reversible is False, str(g)
-        assert report.invariance_violations, str(g)
-        assert report == _reference_report(g, codes), str(g)
-
-
-def test_design_verify_agrees_with_the_counting_references():
-    g20 = sqs20_group()
-    mutated_bases = {design.group: _mutated_bases(design) for design in constructed_designs(64)}
-    mutated_bases[g20] = list(_base_mutations(g20, _sqs20_bases(SQS20_ORBITS)))
-    cases = [(Z10, _relabelled(construct_design(Z10).codes)), (Z44, _relabelled(construct_design(Z44).codes))]
-    for design in _verified_designs():
-        g, codes = design.group, design.codes
-        if not codes:
-            continue
-        # drop, dup and move of the middle block, and dup of the first and
-        # of the last block, which passes through 0 and misses it
-        cases += [(g, mutated) for mutated in _single_block_mutations(codes, g.order)]
-        cases += [(g, codes + codes[:1]), (g, codes + codes[-1:])]
-        for mutated in mutated_bases[g]:
-            cases.append((g, tuple(block for base in mutated for block in orbits._expand(g, base))))
-    verdicts = set()
-    for g, codes in cases:
-        report = _design(g, codes).verify()
-        assert report == _reference_report(g, codes), (str(g), len(codes))
-        verdicts.add((report.is_sqs, report.is_reversible))
-    assert verdicts == {(False, False), (False, True), (True, False)}
 
 
 def test_verify_design_flags_every_single_block_mutation():
@@ -942,6 +914,14 @@ def test_verify_design_flags_every_single_block_mutation():
         assert not by_orbits or mutation == "perturb"
         report = verify_design(g, blocks)
         assert not (report.is_sqs and report.is_reversible)
-        assert report == _reference_report(g, engine._encode_blocks(g, blocks))
+        coverage = coverage_violations_by_counting(g, blocks)
+        asymmetric, invariance = reversibility_violations_by_sorting(g, engine._encode_blocks(g, blocks))
+        assert report == engine.VerificationReport(
+            is_sqs=not coverage,
+            is_reversible=not asymmetric and not invariance,
+            triple_coverage_violations=coverage,
+            asymmetric_blocks=asymmetric,
+            invariance_violations=invariance,
+        )
 
     check()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import sys
 
@@ -88,26 +89,36 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_json(path: str):
-    """The JSON document in the file at ``path``; a file that is not UTF-8
-    JSON raises InvalidInputError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            # ValueError covers bad JSON, bytes that are not UTF-8 and integer
-            # literals past int()'s digit limit; RecursionError, deep nesting
-            raise InvalidInputError(f"cannot read {path} as JSON: {exc}") from exc
+def _read_design(path: str) -> engine.Design:
+    """The design in the file at ``path``, which is read once, so a pipe or
+    a FIFO serves as well as a file.  Bytes laid out as
+    :meth:`~kohler_sqs.engine.Design.write_json` writes a design are read
+    straight to codes; any others are parsed as JSON text, decoded as a
+    text-mode ``open`` decodes them, and a file that is not UTF-8 JSON
+    raises InvalidInputError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    design = engine._design_from_bytes(data)
+    if design is not None:
+        return design
+    try:
+        payload = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integer
+        # literals past int()'s digit limit; RecursionError, deep nesting
+        raise InvalidInputError(f"cannot read {path} as JSON: {exc}") from exc
+    return engine.design_from_json_dict(payload)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # the parsed document is freed once the design is made, before verifying;
-    # it holds no cycles, so the cyclic collector is paused until then (paused
-    # for the parse alone, it would walk the document while the design is made)
+    # whatever a read builds is freed once the design is made, before
+    # verifying; it holds no cycles, so the cyclic collector is paused until
+    # then (paused for the parse alone, it would walk the parsed document
+    # while the design is made)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        design = engine.design_from_json_dict(_read_json(args.design))
+        design = _read_design(args.design)
     finally:
         if enabled:
             gc.enable()

@@ -32,6 +32,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidInputError,
     InvalidOrderError,
+    KohlerSqsError,
     NoInvolutionError,
 )
 from .groups import Element, Group, make_group, max_order_limit
@@ -265,6 +266,57 @@ def design_from_json_dict(payload: dict) -> Design:
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed design payload: {exc}") from exc
     return Design(group=g, h0=h0, codes=codes, provenance=tuple(provenance))
+
+
+_BLOCKS_HEAD = b'{"blocks":['
+_BLOCKS_TAIL = b'],"group":'
+
+
+def _design_from_bytes(data: bytes) -> Design | None:
+    """The design in ``data`` when it is laid out as :meth:`Design.write_json`
+    writes one, else None; never an error.
+
+    The keys must be ``blocks``, ``group``, ``h0`` and ``provenance``, once
+    each and in that order, and every point of the blocks must be written as
+    the writer writes it: no space, no sign, no leading zero.  The blocks
+    are never parsed as JSON.  Their digits removed, they must be ``n``
+    copies of one block skeleton (``[[,],[,],[,],[,]]`` for two
+    coordinates), and each point's text (``0,3``) is looked up in a table of
+    the v elements' texts, so anything but an element misses.  The rest of
+    the document is parsed as JSON, and :class:`Design` checks that the
+    codes of each block increase and that the tags are strings aligned with
+    the blocks.  Every other input gets None, and the caller reads it as
+    JSON, which names its fault; a design read here is the one that path
+    would build."""
+    if not data.startswith(_BLOCKS_HEAD):
+        return None
+    end = data.find(_BLOCKS_TAIL)
+    if end < 0:
+        return None
+    try:
+        # decoded as strictly as a text-mode read, so no byte the fallback
+        # refuses is read here
+        tail = json.loads('{"group":' + data[end + len(_BLOCKS_TAIL) :].decode("utf-8"), object_pairs_hook=list)
+        (group_key, factors), (h0_key, h0), (provenance_key, provenance) = tail
+        if (group_key, h0_key, provenance_key) != ("group", "h0", "provenance") or not (
+            type(factors) is type(h0) is type(provenance) is list and factors == sorted(factors)
+        ):
+            return None
+        g = make_group(factors)
+        h0 = _validate_h0(g, tuple(h0))
+        body = data[len(_BLOCKS_HEAD) : end]
+        point = b"[" + b"," * (len(g.factors) - 1) + b"]"
+        unit = b"[" + b",".join([point] * 4) + b"]"
+        skeleton = body.translate(None, b"0123456789")
+        if skeleton != b",".join([unit] * ((len(skeleton) + 1) // (len(unit) + 1))):
+            return None
+        table = {_dumps(x)[1:-1].encode(): code for code, x in enumerate(g.elements())}
+        points = body.replace(b"],[", b"|").translate(None, b"[]").split(b"|") if body else []
+        # a point that is no element reads as None, which Design refuses
+        quads = map(table.get, points)
+        return Design(group=g, h0=h0, codes=tuple(zip(quads, quads, quads, quads)), provenance=tuple(provenance))
+    except (KohlerSqsError, ValueError, TypeError, RecursionError):
+        return None
 
 
 #: blocks per bulk pass when blocks are validated and encoded

@@ -2,15 +2,20 @@ import gc
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from kohler_sqs import cli, engine, make_group
 
+from sqs20 import SQS20_H0, sqs20_blocks, sqs20_group
 from util import constructed_designs, design_json_dict
 
 
@@ -129,18 +134,181 @@ def test_verify_reports_are_pinned(tmp_path, capsys, spec, mutation):
 def test_verify_validates_each_block_once(tmp_path, capsys, monkeypatch):
     design_path = tmp_path / "design.json"
     run_cli(capsys, "construct", "--group", "10", "--out", str(design_path))
-    validated = []
-    original = engine._encode_blocks
+    # a block is encoded by the reader of the writer's layout or by the JSON path
+    validated, read = [], []
+    original_encode, original_read = engine._encode_blocks, engine._design_from_bytes
 
     def counted(g, blocks):
-        codes = original(g, blocks)
+        codes = original_encode(g, blocks)
         validated.extend(codes)
         return codes
 
+    def counted_read(data):
+        design = original_read(data)
+        read.append(design)
+        if design is not None:
+            validated.extend(design.codes)
+        return design
+
     monkeypatch.setattr(engine, "_encode_blocks", counted)
+    monkeypatch.setattr(engine, "_design_from_bytes", counted_read)
     code, _, _ = run_cli(capsys, "verify", str(design_path))
     assert code == 0
     assert len(validated) == 30
+    # the construct --out file is read straight to codes
+    assert len(read) == 1 and read[0] is not None
+
+
+def _verify_both_ways(path: Path) -> list[tuple[int, str, str]]:
+    """Exit code, stdout and stderr of ``verify path``, first as the CLI runs
+    it, then with the reader of the writer's layout refusing every input, so
+    the JSON path reads the file.  No fixture is used, so hypothesis can call
+    it."""
+    outcomes = []
+    for reader in (engine._design_from_bytes, lambda data: None):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(engine, "_design_from_bytes", reader), redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["verify", str(path)])
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    return outcomes
+
+
+def _deviations(data: bytes) -> dict[str, bytes]:
+    """Edits of ``data``, the ``construct --group 2,2,5`` stdout, each a
+    departure from the writer's layout; some still hold a valid design."""
+    body, tail = data.split(b'],"group":')
+    provenance = tail.index(b',"provenance":')
+    reordered = json.loads(data)
+    return {
+        "space-after-key": data.replace(b'"blocks":', b'"blocks": ', 1),
+        "space-in-point": data.replace(b"[0,0,1]", b"[0, 0,1]", 1),
+        "space-in-tail": data.replace(b'"h0":', b'"h0": ', 1),
+        "crlf": data[:-1] + b"\r\n",
+        "crlf-between-blocks": data.replace(b"]],[[", b"]],\r\n[[", 1),
+        "bom": b"\xef\xbb\xbf" + data,
+        "leading-zero": data.replace(b"[0,0,1]", b"[0,0,01]", 1),
+        "minus-zero": data.replace(b"[0,0,0]", b"[-0,0,0]", 1),
+        "float": data.replace(b"[0,0,1]", b"[0,0,1.0]", 1),
+        "exponent": data.replace(b"[0,0,1]", b"[0,0,1e0]", 1),
+        "true": data.replace(b"[0,0,1]", b"[0,0,true]", 1),
+        "duplicate-key": data.replace(b'"h0":', b'"h0":[0,0,0],"h0":', 1),
+        "duplicate-blocks": data[:-2] + b',"blocks":[]}\n',
+        "extra-key": data[:-2] + b',"x":1}\n',
+        "reordered-keys": (json.dumps(dict(reversed(reordered.items())), separators=(",", ":")) + "\n").encode(),
+        "no-provenance": body + b'],"group":' + tail[:provenance] + b"}\n",
+        "trailing-garbage": data + b"x",
+        "no-trailing-newline": data[:-1],
+        "two-trailing-newlines": data + b"\n",
+        "no-blocks": b'{"blocks":[],"group":[2,2,5],"h0":[1,0,0],"provenance":[]}\n',
+        "escaped-tag": data.replace(b'"B0"', b'"\\u0042\\u0030"', 1),
+        "short-point": data.replace(b"[0,0,1]", b"[0,1]", 1),
+        "long-point": data.replace(b"[0,0,1]", b"[0,0,0,1]", 1),
+        "unsorted-block": data.replace(b"[[0,0,0],[0,0,1]", b"[[0,0,1],[0,0,0]", 1),
+        "blocks-of-3-and-5": data.replace(b"],[0,1,1]],[[", b"]],[[0,1,1],[", 1),
+        "point-in-a-list": data.replace(b"[0,0,1]", b"[[0,0,1]]", 1),
+        "unsorted-group": data.replace(b'"group":[2,2,5]', b'"group":[2,5,2]', 1),
+        "bad-h0": data.replace(b'"h0":[0,1,0]', b'"h0":[0,0,0]', 1),
+        "renamed-key": data.replace(b'"h0":', b'"hx":', 1),
+        "provenance-string": body + b'],"group":' + tail[:provenance] + b',"provenance":"' + b"B" * 285 + b'"}\n',
+        "not-utf8-tag": data.replace(b'"B0"', b'"B\xff"', 1),
+        "surrogate-tag": data.replace(b'"B0"', b'"B\xed\xa0\x80"', 1),
+    }
+
+
+def test_reading_the_writers_layout_changes_no_outcome(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "design.json"
+
+    def check(data: bytes, read_straight: bool | None = None) -> tuple[int, str, str]:
+        path.write_bytes(data)
+        direct, fallback = _verify_both_ways(path)
+        assert direct == fallback
+        if read_straight is not None:
+            assert (engine._design_from_bytes(data) is not None) is read_straight
+        return direct
+
+    # valid designs, and the pinned mutations, written as the writer writes
+    g20 = sqs20_group()
+    sqs20 = engine.Design(
+        group=g20, h0=SQS20_H0, codes=engine._encode_blocks(g20, sorted(sqs20_blocks())), provenance=("sqs20",) * 285
+    )
+    for design in (*constructed_designs(64), sqs20):
+        code, out, err = check(_written(design).encode("utf-8"), read_straight=True)
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == (*VERIFY_OK, ""), str(design.group)
+    constructed = {}
+    for spec, mutation in PINNED_VERIFY:
+        if spec not in constructed:
+            constructed[spec] = run_cli(capsys, "construct", "--group", spec)[1]
+        data = _reference_line(_mutated(json.loads(constructed[spec]), mutation)).encode("utf-8")
+        code, out, _ = check(data, read_straight=True)
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == PINNED_VERIFY[(spec, mutation)]
+    # a departure from the layout in the blocks or the keys goes to the JSON
+    # path, which names any fault; the values after the blocks are JSON either way
+    data = constructed["2,2,5"].encode("utf-8")
+    for name, edited in _deviations(data).items():
+        assert edited != data, name
+        check(edited)
+    monkeypatch.setenv("KOHLER_SQS_MAX_V", "19")
+    code, out, err = check(data, read_straight=False)
+    assert (code, out) == (1, "") and "exceeds" in err
+
+
+def test_single_byte_edits_change_no_outcome(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    data = run_cli(capsys, "construct", "--group", "2,2,5")[1].encode("utf-8")
+    path = tmp_path / "design.json"
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(
+        edit=st.sampled_from(["replace", "insert", "delete"]),
+        index=st.integers(min_value=0, max_value=len(data) - 1),
+        byte=st.integers(min_value=0, max_value=255),
+    )
+    def check(edit, index, byte):
+        new = b"" if edit == "delete" else bytes([byte])
+        path.write_bytes(data[:index] + new + data[index + (edit != "insert") :])
+        direct, fallback = _verify_both_ways(path)
+        assert direct == fallback
+
+    check()
+
+
+def test_verify_reads_a_fifo_once(tmp_path):
+    # an indented design is not the writer's layout, so the JSON path parses
+    # the bytes already read: the FIFO cannot be read a second time
+    text = json.dumps(design_json_dict(engine.construct_design(make_group([10]))), indent=2)
+    assert engine._design_from_bytes(text.encode("utf-8")) is None
+    fifo = tmp_path / "design.fifo"
+    os.mkfifo(fifo)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kohler_sqs", "verify", str(fifo)], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    threading.Thread(target=fifo.write_text, args=(text,), daemon=True).start()
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, hashlib.sha256(out).hexdigest(), err) == (*VERIFY_OK, b"")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'\xef\xbb\xbf{"group": [10]}',
+        b'{"group":\r\n [2,\r\n,]}',
+        b'{"group":\r [2,\r\r ]}',
+        b'{"group": [2],\r\n "h0": "\xe9"}',
+    ],
+    ids=["bom", "crlf", "cr", "not-utf8"],
+)
+def test_verify_decodes_as_a_text_mode_read(tmp_path, capsys, content):
+    # the JSON path decodes the bytes it was handed as reading the file in
+    # text mode does: UTF-8, universal newlines, the same error offsets
+    path = tmp_path / "design.json"
+    path.write_bytes(content)
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as exc:
+        json.load(fh)
+    assert run_cli(capsys, "verify", str(path)) == (1, "", f"error: cannot read {path} as JSON: {exc.value}\n")
 
 
 def test_construct_success(capsys):

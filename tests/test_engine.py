@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -14,7 +15,7 @@ from kohler_sqs import (
     NoInvolutionError,
     make_group,
 )
-from kohler_sqs import engine, kohler, matching, orbits
+from kohler_sqs import cli, engine, kohler, matching, orbits
 from kohler_sqs.engine import (
     B0_TAG,
     Design,
@@ -340,7 +341,7 @@ JSON_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", list(JSON_FAULTS))
-def test_design_from_json_names_the_first_fault(monkeypatch, fault):
+def test_design_from_json_names_the_first_fault(tmp_path, capsys, monkeypatch, fault):
     # the bulk pass words no error: whatever the chunk size, the per-block
     # loop names the first bad block, with the message it always had
     payload = design_json_dict(construct_design(Z225))
@@ -355,6 +356,11 @@ def test_design_from_json_names_the_first_fault(monkeypatch, fault):
         with pytest.raises(InvalidInputError) as exc:
             design_from_json_dict(payload)
         assert str(exc.value) == message, chunk
+    # and verify names it in a file laid out as the design writer lays one out
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_bulk_encoding_agrees_with_the_per_block_loop():

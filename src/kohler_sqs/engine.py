@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, filterfalse, islice
+from itertools import chain, combinations, islice
 from math import comb
 
 from . import kohler, matching, orbits
@@ -271,6 +270,10 @@ def design_from_json_dict(payload: dict) -> Design:
 _BLOCKS_HEAD = b'{"blocks":['
 _BLOCKS_TAIL = b'],"group":'
 
+#: bytes of block text per chunk, at least, when the writer's layout is read;
+#: a chunk runs on to the end of the block it stops in
+READ_CHUNK = 1 << 16
+
 
 def _design_from_bytes(data: bytes) -> Design | None:
     """The design in ``data`` when it is laid out as :meth:`Design.write_json`
@@ -279,15 +282,19 @@ def _design_from_bytes(data: bytes) -> Design | None:
     The keys must be ``blocks``, ``group``, ``h0`` and ``provenance``, once
     each and in that order, and every point of the blocks must be written as
     the writer writes it: no space, no sign, no leading zero.  The blocks
-    are never parsed as JSON.  Their digits removed, they must be ``n``
-    copies of one block skeleton (``[[,],[,],[,],[,]]`` for two
-    coordinates), and each point's text (``0,3``) is looked up in a table of
-    the v elements' texts, so anything but an element misses.  The rest of
-    the document is parsed as JSON, and :class:`Design` checks that the
-    codes of each block increase and that the tags are strings aligned with
-    the blocks.  Every other input gets None, and the caller reads it as
-    JSON, which names its fault; a design read here is the one that path
-    would build."""
+    are never parsed as JSON.  They are read in chunks of about
+    :data:`READ_CHUNK` bytes, each ending with a block, and each chunk is
+    mapped to codes before the next is read.  Its digits removed, a chunk
+    must be copies of one block skeleton (``[[,],[,],[,],[,]]`` for two
+    coordinates) joined by commas.  Inside its outer brackets, split at
+    ``],[`` and ``]],[[``, it must give four points per copy, and each
+    point's text (``0,3``) is looked up in a table of the v elements'
+    texts, so anything but an element misses: a digit outside the points
+    leaves a bracket in some point's text.  The rest of the document is
+    parsed as JSON, and :class:`Design` checks that the codes of each block
+    increase and that the tags are strings aligned with the blocks.  Every
+    other input gets None, and the caller reads it as JSON, which names its
+    fault; a design read here is the one that path would build."""
     if not data.startswith(_BLOCKS_HEAD):
         return None
     end = data.find(_BLOCKS_TAIL)
@@ -304,17 +311,25 @@ def _design_from_bytes(data: bytes) -> Design | None:
             return None
         g = make_group(factors)
         h0 = _validate_h0(g, tuple(h0))
-        body = data[len(_BLOCKS_HEAD) : end]
         point = b"[" + b"," * (len(g.factors) - 1) + b"]"
         unit = b"[" + b",".join([point] * 4) + b"]"
-        skeleton = body.translate(None, b"0123456789")
-        if skeleton != b",".join([unit] * ((len(skeleton) + 1) // (len(unit) + 1))):
-            return None
         table = {_dumps(x)[1:-1].encode(): code for code, x in enumerate(g.elements())}
-        points = body.replace(b"],[", b"|").translate(None, b"[]").split(b"|") if body else []
-        # a point that is no element reads as None, which Design refuses
-        quads = map(table.get, points)
-        return Design(group=g, h0=h0, codes=tuple(zip(quads, quads, quads, quads)), provenance=tuple(provenance))
+        codes: list[Codes] = []
+        start = len(_BLOCKS_HEAD)
+        while start < end:
+            cut = data.find(b"]],[[", start + READ_CHUNK, end)
+            cut = end if cut < 0 else cut + 2
+            chunk = data[start:cut]
+            skeleton = chunk.translate(None, b"0123456789")
+            units = (len(skeleton) + 1) // (len(unit) + 1)
+            points = chunk[2:-2].replace(b"]],[[", b"],[").split(b"],[")
+            if skeleton != b",".join([unit] * units) or len(points) != 4 * units:
+                return None
+            # a point that is no element reads as None, which Design refuses
+            quads = map(table.get, points)
+            codes += zip(quads, quads, quads, quads)
+            start = cut + 1
+        return Design(group=g, h0=h0, codes=tuple(codes), provenance=tuple(provenance))
     except (KohlerSqsError, ValueError, TypeError, RecursionError):
         return None
 
@@ -552,30 +567,41 @@ def _missing_images(g: Group, codes: tuple[Codes, ...]) -> tuple[bool, list[tupl
 def _coverage_violations(g: Group, codes: tuple[Codes, ...]) -> tuple[tuple[Subset, int], ...]:
     """Triples covered other than once, with their counts, in lex order.
 
-    A triple x < y < z of codes is packed as ``(x*v + y)*v + z``, which keeps
-    lexicographic order; a packed triple that no block counts is missing."""
+    Each triple x < y < z of codes has one count, at its lexicographic rank
+    ``off[x*v + y] + z`` in a flat array.  The cells of one pair x < y form a
+    run, compared whole with a run of ones; only a run that differs is read
+    cell by cell."""
+    # imported here, as only a listing needs it: loading the extension would
+    # add to the peak memory of every command
+    from array import array
+
     v = g.order
-    packed = []
+    off = [0] * (v * v)
+    rank = 0
+    for x in range(v):
+        for y in range(x + 1, v):
+            off[x * v + y] = rank - y - 1
+            rank += v - 1 - y
+    counts = array("I", [0]) * rank
     for p, q, r, s in codes:
-        pq, pr = (p * v + q) * v, (p * v + r) * v
-        packed += (pq + r, pq + s, pr + s, (q * v + r) * v + s)
-    counts = Counter(packed)
-    violations = [(t, c) for t, c in counts.items() if c != 1]
-    if len(counts) < comb(v, 3):
-        violations += ((t, 0) for t in filterfalse(counts.__contains__, _packed_triples(v)))
-    violations.sort()
+        pq, pr = off[p * v + q], off[p * v + r]
+        counts[pq + r] += 1
+        counts[pq + s] += 1
+        counts[pr + s] += 1
+        counts[off[q * v + r] + s] += 1
+    ones = array("I", [1]) * v
     elements = g.elements()
-    return tuple(
-        ((elements[t // (v * v)], elements[t // v % v], elements[t % v]), c) for t, c in violations
-    )
-
-
-def _packed_triples(v: int):
-    """Every packed triple x < y < z < v, in increasing order: one range of z
-    per pair x < y."""
-    return chain.from_iterable(
-        range((x * v + y) * v + y + 1, (x * v + y + 1) * v) for x in range(v) for y in range(x + 1, v)
-    )
+    violations = []
+    rank = 0
+    for x in range(v):
+        for y in range(x + 1, v):
+            run = counts[rank : rank + v - 1 - y]
+            if run != ones[: v - 1 - y]:
+                violations += (
+                    ((elements[x], elements[y], elements[z]), c) for z, c in enumerate(run, y + 1) if c != 1
+                )
+            rank += v - 1 - y
+    return tuple(violations)
 
 
 def _reversibility_violations(

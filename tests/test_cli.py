@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
@@ -159,6 +160,29 @@ def test_verify_validates_each_block_once(tmp_path, capsys, monkeypatch):
     assert len(read) == 1 and read[0] is not None
 
 
+def test_verify_of_a_listing_file_stays_in_bounded_memory(tmp_path, capsys):
+    # the 40,425 Z4xZ25 blocks less one, in the writer's layout: read
+    # straight to codes, then every triple is counted to list the missing
+    # ones; Python's own allocations are traced, which the host does not move
+    g = make_group([4, 25])
+    design = engine.construct_design(g)
+    path = tmp_path / "drop.json"
+    dropped = engine.Design(group=g, h0=design.h0, codes=design.codes[1:], provenance=design.provenance[1:])
+    path.write_text(_written(dropped))
+    del design, dropped
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and len(json.loads(capsys.readouterr().out)["triple_coverage_violations"]) == 4
+    # the blocks as codes take about 5.6 MB; a reader that held every
+    # point's text at once, or a listing of every packed triple, each
+    # peaked past 16 MB
+    assert peak < 12_000_000, peak
+
+
 def _verify_both_ways(path: Path) -> list[tuple[int, str, str]]:
     """Exit code, stdout and stderr of ``verify path``, first as the CLI runs
     it, then with the reader of the writer's layout refusing every input, so
@@ -212,7 +236,20 @@ def _deviations(data: bytes) -> dict[str, bytes]:
         "provenance-string": body + b'],"group":' + tail[:provenance] + b',"provenance":"' + b"B" * 285 + b'"}\n',
         "not-utf8-tag": data.replace(b'"B0"', b'"B\xff"', 1),
         "surrogate-tag": data.replace(b'"B0"', b'"B\xed\xa0\x80"', 1),
+        # the block's ]],[[ is where a small chunk is cut
+        "nested-points": data.replace(
+            b"[[0,0,0],[0,0,1],[0,0,2],[0,1,1]]", b"[[0,0,0],[[0,0,1]],[[0,0,2]],[0,1,1]]", 1
+        ),
     }
+
+
+# a digit outside every point, which joined to the point next to it would
+# spell an element that keeps the block's codes increasing: (11, 12, 14, 25),
+# (0, 1, 3, 45) and ((0,0), (0,1), (0,2), (2,10))
+STRAY_DIGITS = {
+    "50": [(b"[[1],[12],[14],[25]]", b"[1[1],[12],[14],[25]]"), (b"[[0],[1],[3],[4]]", b"[[0],[1],[3],[4]5]")],
+    "4,25": [(b"[[0,0],[0,1],[0,2],[2,1]]", b"[[0,0],[0,1],[0,2],[2,1]0]")],
+}
 
 
 def test_reading_the_writers_layout_changes_no_outcome(tmp_path, capsys, monkeypatch):
@@ -246,7 +283,15 @@ def test_reading_the_writers_layout_changes_no_outcome(tmp_path, capsys, monkeyp
     data = constructed["2,2,5"].encode("utf-8")
     for name, edited in _deviations(data).items():
         assert edited != data, name
-        check(edited)
+        outcome = check(edited)
+        if name == "nested-points":
+            assert outcome[:2] == (1, "") and outcome[2].startswith("error: "), outcome
+    for spec, edits in STRAY_DIGITS.items():
+        data = constructed[spec].encode("utf-8")
+        for block, edited_block in edits:
+            assert data.count(block) == 1, block
+            code, out, err = check(data.replace(block, edited_block), read_straight=False)
+            assert (code, out) == (1, "") and err.startswith(f"error: cannot read {path} as JSON"), err
     monkeypatch.setenv("KOHLER_SQS_MAX_V", "19")
     code, out, err = check(data, read_straight=False)
     assert (code, out) == (1, "") and "exceeds" in err
@@ -271,6 +316,16 @@ def test_single_byte_edits_change_no_outcome(tmp_path, capsys):
         assert direct == fallback
 
     check()
+
+
+# one block per chunk, and a size that ends a chunk inside a block of
+# Z2xZ2xZ5 or Z4xZ25, two blocks per chunk
+@pytest.mark.parametrize("read_chunk", [1, 50])
+def test_chunk_boundaries_change_no_outcome(tmp_path, capsys, monkeypatch, read_chunk):
+    monkeypatch.setattr(engine, "READ_CHUNK", read_chunk)
+    test_single_byte_edits_change_no_outcome(tmp_path, capsys)
+    # last: it lowers the capacity limit
+    test_reading_the_writers_layout_changes_no_outcome(tmp_path, capsys, monkeypatch)
 
 
 def test_verify_reads_a_fifo_once(tmp_path):

@@ -402,6 +402,15 @@ def test_coverage_listing_agrees_with_counting():
     # a dropped block only leaves triples missing, a duplicated one only
     # over-covers, and a moved point does both
     assert kinds == [(True, False), (False, True), (True, True)]
+    # counts past one byte, one block alone, and no block at all
+    design = construct_design(Z225)
+    block = design.codes[0]
+    repeated = design.codes + (block,) * 300
+    for codes in (repeated, (block,), ()):
+        got = engine._coverage_violations(Z225, codes)
+        assert got == coverage_violations_by_counting(Z225, [tuple(map(Z225.decode, b)) for b in codes])
+    assert [c for _, c in engine._coverage_violations(Z225, repeated)] == [301] * 4
+    assert len(engine._coverage_violations(Z225, ())) == comb(Z225.order, 3)
 
 
 def test_determinism_of_construction():

@@ -184,8 +184,8 @@ def _dumps(value) -> str:
 class Design:
     """An assembled block set with per-block provenance.
 
-    ``codes[i]`` is block i as a sorted 4-tuple of element codes, checked
-    when the design is made; ``provenance[i]`` is ``"B0"`` or
+    ``codes[i]`` is block i as a sorted 4-tuple of element codes, checked,
+    as ``h0`` is, when the design is made; ``provenance[i]`` is ``"B0"`` or
     ``"factor:<edge-index>"``, an index into the Koehler graph's edges.  A
     constructed design lists its blocks in lexicographic order, and
     :attr:`blocks` decodes them to coordinate tuples on first read.
@@ -208,6 +208,7 @@ class Design:
             raise InvalidInputError("design provenance must be a list of strings")
         if len(self.codes) != len(self.provenance):
             raise InvalidInputError("provenance must align with blocks")
+        _validate_h0(self.group, self.h0)
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -334,76 +335,34 @@ def _design_from_bytes(data: bytes) -> Design | None:
         return None
 
 
-#: blocks per bulk pass when blocks are validated and encoded
-ENCODE_CHUNK = 256
-
-
 def _encode_blocks(g: Group, blocks) -> tuple[Codes, ...]:
     """Validate each block and return it as a sorted 4-tuple of codes.
 
-    ``blocks`` is read in chunks of :data:`ENCODE_CHUNK` blocks, each block
-    as a tuple, and a bulk pass encodes each chunk at once.  A chunk that
-    fails one of its checks goes through the per-block loop instead, whose
-    error names the chunk's first bad block: every earlier chunk passed, so
-    that is the first bad block of the input.  Only one chunk's tuples are
-    held at a time."""
+    ``blocks`` is read one block at a time, each block as a tuple.  A block
+    of four points found in the group's element index, whose coordinates
+    are exactly ``int`` (so neither ``1.0`` nor ``True`` passes for an
+    element) and whose codes are distinct, is taken as it is.  Any other
+    block is read point by point by :meth:`Group.encode`, which raises the
+    error; every earlier block passed, so the error names the first bad
+    block of the input."""
+    index, only_ints = g._index.get, {int}.issuperset
     out: list[Codes] = []
-    blocks = iter(blocks)
-    while True:
-        chunk: list[tuple] = []
+    for block in blocks:
+        b = tuple(block)  # a block or point that is not iterable raises TypeError here
         try:
-            for block in islice(blocks, ENCODE_CHUNK):
-                chunk.append(tuple(block))
-        except TypeError:
-            # a block or point that is not iterable: a bad block before it comes first
-            _encode_each(g, chunk)
-            raise
-        if not chunk:
-            return tuple(out)
-        codes = _encode_bulk(g, chunk)
-        out += _encode_each(g, chunk) if codes is None else codes
-
-
-def _encode_bulk(g: Group, blocks: list[tuple]) -> list[Codes] | None:
-    """The codes of ``blocks``, or None when some block is not four distinct
-    elements.  Each check runs over all blocks at once: four points per
-    block, each a tuple whose coordinates are exactly ``int`` (so neither
-    ``1.0`` nor ``True`` can match an element), then one index lookup per
-    point, and a sort only for a block whose codes are out of order."""
-    points = list(chain.from_iterable(blocks))
-    if (
-        set(map(len, blocks)) - {4}
-        or set(map(type, points)) - {tuple}
-        or set(map(type, chain.from_iterable(points))) - {int}
-    ):
-        return None
-    codes = list(map(g._index.get, points))
-    if None in codes:  # a point of the wrong length or out of range
-        return None
-    out = []
-    quads = iter(codes)
-    for block in zip(quads, quads, quads, quads):
-        if not block[0] < block[1] < block[2] < block[3]:
-            block = tuple(sorted(block))
-            if not block[0] < block[1] < block[2] < block[3]:
-                return None
-        out.append(block)
-    return out
-
-
-def _encode_each(g: Group, blocks: list[tuple]) -> list[Codes]:
-    """:func:`_encode_blocks` one block at a time, raising InvalidInputError
-    for the first block that is not four distinct elements."""
-    out = []
-    encode = g.encode
-    for b in blocks:
+            p, q, r, s = sorted(map(index, b))
+            if p < q < r < s and only_ints(map(type, chain.from_iterable(b))):
+                out.append((p, q, r, s))
+                continue
+        except (TypeError, ValueError):  # unhashable, not in the index, or not four points
+            pass
         if len(b) != 4:
             raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
-        p, q, r, s = sorted(map(encode, b))
+        p, q, r, s = sorted(map(g.encode, b))
         if not p < q < r < s:
             raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
         out.append((p, q, r, s))
-    return out
+    return tuple(out)
 
 
 def construct_design(g: Group, h0: Element | None = None) -> Design:

@@ -1,5 +1,5 @@
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -47,6 +47,7 @@ from util import (
     constructed_designs,
     coverage_violations_by_counting,
     design_json_dict,
+    encode_blocks_by_reference,
     factor_edge_indices,
     formula_neighbors,
     is_symmetric,
@@ -341,9 +342,8 @@ JSON_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", list(JSON_FAULTS))
-def test_design_from_json_names_the_first_fault(tmp_path, capsys, monkeypatch, fault):
-    # the bulk pass words no error: whatever the chunk size, the per-block
-    # loop names the first bad block, with the message it always had
+def test_design_from_json_names_the_first_fault(tmp_path, capsys, fault):
+    # the encoder names the first bad block, with the message it always had
     payload = design_json_dict(construct_design(Z225))
     edits, message = JSON_FAULTS[fault]
     for path, value in edits:
@@ -351,11 +351,9 @@ def test_design_from_json_names_the_first_fault(tmp_path, capsys, monkeypatch, f
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
-    for chunk in (3, 100, engine.ENCODE_CHUNK):
-        monkeypatch.setattr(engine, "ENCODE_CHUNK", chunk)
-        with pytest.raises(InvalidInputError) as exc:
-            design_from_json_dict(payload)
-        assert str(exc.value) == message, chunk
+    with pytest.raises(InvalidInputError) as exc:
+        design_from_json_dict(payload)
+    assert str(exc.value) == message
     # and verify names it in a file laid out as the design writer lays one out
     path = tmp_path / "design.json"
     path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
@@ -363,18 +361,54 @@ def test_design_from_json_names_the_first_fault(tmp_path, capsys, monkeypatch, f
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_bulk_encoding_agrees_with_the_per_block_loop():
+def test_block_encoder_agrees_with_the_reference():
     g20 = sqs20_group()
     cases = [(d.group, list(d.blocks)) for d in constructed_designs(64)]
     cases.append((g20, sorted(sqs20_blocks())))
     for g, blocks in cases:
         # as given (sorted), with each block's points reversed and rotated
         for mutated in (blocks, [b[::-1] for b in blocks], [b[1:] + b[:1] for b in blocks]):
-            bulk = engine._encode_bulk(g, mutated)
-            assert bulk is not None and bulk == engine._encode_each(g, mutated), str(g)
-            assert engine._encode_blocks(g, mutated) == tuple(bulk)
+            assert engine._encode_blocks(g, mutated) == encode_blocks_by_reference(g, mutated), str(g)
     for design in constructed_designs(64):
         assert design_from_json_dict(design_json_dict(design)).codes == design.codes
+
+
+Point = namedtuple("Point", "a b c")
+
+# blocks of Z2xZ2xZ5 that are not four distinct elements, and one whose
+# second point is a namedtuple, which is a tuple of ints and so an element
+FAULT_BLOCKS = {
+    "float": ((0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 4.0)),
+    "bool": ((0, 0, 1), (0, True, 2), (0, 0, 3), (0, 0, 4)),
+    "list-point": ((0, 0, 1), [0, 0, 2], (0, 0, 3), (0, 0, 4)),
+    "namedtuple-point": ((0, 0, 1), Point(0, 0, 2), (0, 0, 3), (0, 0, 4)),
+    "3-point": ((0, 0, 1), (0, 0, 2), (0, 0, 3)),
+    "5-point": ((0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 4), (0, 1, 0)),
+    "repeated-point": ((0, 0, 1), (0, 0, 2), (0, 0, 1), (0, 0, 4)),
+    "out-of-range": ((0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 5)),
+}
+
+
+def _encoded_or_message(encode, g, blocks):
+    try:
+        return encode(g, blocks)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("fault", list(FAULT_BLOCKS))
+def test_block_encoder_words_each_fault_as_the_reference(fault):
+    # alone, after 100 good blocks, and with a short block after it, which
+    # is named only when the block before it passes
+    g = sqs20_group()
+    blocks = sorted(sqs20_blocks())
+    block = FAULT_BLOCKS[fault]
+    alone = _encoded_or_message(engine._encode_blocks, g, [block])
+    assert isinstance(alone, str) == (fault != "namedtuple-point")
+    for placed in ([block], [*blocks[:100], block, *blocks[100:]], [*blocks[:100], block, blocks[200][:3]]):
+        assert _encoded_or_message(engine._encode_blocks, g, placed) == _encoded_or_message(
+            encode_blocks_by_reference, g, placed
+        )
 
 
 def test_public_verifiers_take_any_iterable_of_tuple_blocks():
@@ -556,6 +590,13 @@ def test_design_rejects_provenance_tags_that_are_not_strings(tag):
     # such a design would be written as JSON that design_from_json_dict refuses
     with pytest.raises(InvalidInputError, match="provenance must be a list of strings"):
         Design(group=make_group([4]), h0=(2,), codes=((0, 1, 2, 3),), provenance=(tag,))
+
+
+@pytest.mark.parametrize("h0", [(3,), (0,), (5.0,), (True,), [5], "x"], ids=repr)
+def test_design_rejects_an_h0_that_is_no_involution(h0):
+    # write_json would write it, and verify refuses the file it makes
+    with pytest.raises(InvalidInputError):
+        Design(group=Z10, h0=h0, codes=(), provenance=())
 
 
 @pytest.mark.parametrize("block", [(0, 1, 3, 10), (1, 0, 3, 4), (0, 1, 1, 4), (0, 1, 3)])

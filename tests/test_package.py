@@ -1,4 +1,6 @@
+import ast
 import pkgutil
+from pathlib import Path
 
 import kohler_sqs
 
@@ -50,3 +52,19 @@ def test_runtime_modules_are_pinned():
     # test-only oracles and fixtures live under tests/, not in the package
     modules = sorted(info.name for info in pkgutil.iter_modules(kohler_sqs.__path__))
     assert modules == ["__main__", "cli", "engine", "errors", "groups", "kohler", "matching", "orbits"]
+
+
+def test_runtime_modules_import_nothing_unused():
+    # no linter is a dependency: every name a runtime module imports must be read
+    for path in sorted(Path(kohler_sqs.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= read, f"{path.name} imports {sorted(imported - read)} unused"

@@ -314,6 +314,29 @@ def design_json_dict(design: Design) -> dict:
     }
 
 
+def encode_blocks_by_reference(g: Group, blocks) -> tuple[Codes, ...]:
+    """The reference for ``engine._encode_blocks``: each block as its sorted
+    codes, read point by point.  A point is an element when it is a tuple of
+    coordinates that are exactly ``int`` and equal to one of
+    ``g.elements()``, whose position is its code.  The first block that is
+    not four distinct elements raises the package's message for it."""
+    code_of = {x: code for code, x in enumerate(g.elements())}
+    out = []
+    for block in blocks:
+        b = tuple(block)
+        if len(b) != 4:
+            raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
+        codes = []
+        for x in b:
+            if not (isinstance(x, tuple) and all(type(c) is int for c in x) and x in code_of):
+                raise InvalidInputError(f"{x!r} is not an element of {g}")
+            codes.append(code_of[x])
+        if len(set(codes)) != 4:
+            raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
+        out.append(tuple(sorted(codes)))
+    return tuple(out)
+
+
 def is_symmetric(g: Group, block: Codes) -> bool:
     """The reference for ``orbits._asymmetric``, one block of four codes at
     a time: is B = -B + x for some x?

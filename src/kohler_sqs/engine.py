@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, islice
 from math import comb
@@ -34,7 +33,7 @@ from .errors import (
     KohlerSqsError,
     NoInvolutionError,
 )
-from .groups import Element, Group, make_group, max_order_limit
+from .groups import Element, Group, Record, make_group, max_order_limit
 from .orbits import Codes, Subset
 
 Block = Subset
@@ -180,8 +179,7 @@ def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(Record):
     """An assembled block set with per-block provenance.
 
     ``codes[i]`` is block i as a sorted 4-tuple of element codes, checked,
@@ -191,24 +189,22 @@ class Design:
     :attr:`blocks` decodes them to coordinate tuples on first read.
     """
 
-    group: Group
-    h0: Element
-    codes: tuple[Codes, ...]
-    provenance: tuple[str, ...]
+    _fields = ("group", "h0", "codes", "provenance")
 
-    def __post_init__(self) -> None:
-        v = self.group.order
-        for block in self.codes:
+    def __init__(self, group: Group, h0: Element, codes: tuple[Codes, ...], provenance: tuple[str, ...]) -> None:
+        self.__dict__.update(group=group, h0=h0, codes=codes, provenance=provenance)
+        v = group.order
+        for block in codes:
             if type(block) is tuple and len(block) == 4:
                 p, q, r, s = block
                 if type(p) is type(q) is type(r) is type(s) is int and 0 <= p < q < r < s < v:
                     continue
             raise InvalidInputError(f"blocks must be 4 increasing element codes below {v}: {block!r}")
-        if set(map(type, self.provenance)) - {str}:
+        if set(map(type, provenance)) - {str}:
             raise InvalidInputError("design provenance must be a list of strings")
-        if len(self.codes) != len(self.provenance):
+        if len(codes) != len(provenance):
             raise InvalidInputError("provenance must align with blocks")
-        _validate_h0(self.group, self.h0)
+        _validate_h0(group, h0)
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -292,8 +288,9 @@ def _design_from_bytes(data: bytes) -> Design | None:
     point's text (``0,3``) is looked up in a table of the v elements'
     texts, so anything but an element misses: a digit outside the points
     leaves a bracket in some point's text.  The rest of the document is
-    parsed as JSON, and :class:`Design` checks that the codes of each block
-    increase and that the tags are strings aligned with the blocks.  Every
+    parsed as JSON; its tags must be strings, and equal tags are kept as
+    one object.  :class:`Design` checks that the codes of each block
+    increase and that the tags align with the blocks.  Every
     other input gets None, and the caller reads it as JSON, which names its
     fault; a design read here is the one that path would build."""
     if not data.startswith(_BLOCKS_HEAD):
@@ -310,6 +307,13 @@ def _design_from_bytes(data: bytes) -> Design | None:
             type(factors) is type(h0) is type(provenance) is list and factors == sorted(factors)
         ):
             return None
+        # a design has few distinct tags, each repeated over an orbit.  They
+        # are checked to be strings before they are shared, so no tag is
+        # swapped for an equal one of another type, such as 1 for True
+        if set(map(type, provenance)) - {str}:
+            return None
+        shared = dict(zip(provenance, provenance))
+        provenance = tuple(map(shared.__getitem__, provenance))
         g = make_group(factors)
         h0 = _validate_h0(g, tuple(h0))
         point = b"[" + b"," * (len(g.factors) - 1) + b"]"
@@ -330,7 +334,7 @@ def _design_from_bytes(data: bytes) -> Design | None:
             quads = map(table.get, points)
             codes += zip(quads, quads, quads, quads)
             start = cut + 1
-        return Design(group=g, h0=h0, codes=tuple(codes), provenance=tuple(provenance))
+        return Design(group=g, h0=h0, codes=tuple(codes), provenance=provenance)
     except (KohlerSqsError, ValueError, TypeError, RecursionError):
         return None
 
@@ -423,15 +427,26 @@ def _design_bases(
 # -- verification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of the design axioms, with the violations behind each verdict."""
 
-    is_sqs: bool
-    is_reversible: bool
-    triple_coverage_violations: tuple[tuple[Subset, int], ...] = ()
-    asymmetric_blocks: tuple[Block, ...] = ()
-    invariance_violations: tuple[tuple[Block, str], ...] = ()
+    _fields = ("is_sqs", "is_reversible", "triple_coverage_violations", "asymmetric_blocks", "invariance_violations")
+
+    def __init__(
+        self,
+        is_sqs: bool,
+        is_reversible: bool,
+        triple_coverage_violations: tuple[tuple[Subset, int], ...] = (),
+        asymmetric_blocks: tuple[Block, ...] = (),
+        invariance_violations: tuple[tuple[Block, str], ...] = (),
+    ) -> None:
+        self.__dict__.update(
+            is_sqs=is_sqs,
+            is_reversible=is_reversible,
+            triple_coverage_violations=triple_coverage_violations,
+            asymmetric_blocks=asymmetric_blocks,
+            invariance_violations=invariance_violations,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -581,16 +596,28 @@ def _reversibility_violations(
 # -- existence -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExistenceVerdict:
+class ExistenceVerdict(Record):
     """Yes always carries a verified design; No carries the reason, and for
-    matching-based refusals the witness component."""
+    matching-based refusals the witness component.  ``diagnostics`` is a
+    new empty dict unless one is given."""
 
-    verdict: str  # "yes" | "no" | "unknown"
-    reason: dict
-    design: Design | None = None
-    witness_component: tuple[str, ...] = ()
-    diagnostics: dict = field(default_factory=dict)
+    _fields = ("verdict", "reason", "design", "witness_component", "diagnostics")
+
+    def __init__(
+        self,
+        verdict: str,  # "yes" | "no" | "unknown"
+        reason: dict,
+        design: Design | None = None,
+        witness_component: tuple[str, ...] = (),
+        diagnostics: dict | None = None,
+    ) -> None:
+        self.__dict__.update(
+            verdict=verdict,
+            reason=reason,
+            design=design,
+            witness_component=witness_component,
+            diagnostics={} if diagnostics is None else diagnostics,
+        )
 
     def to_json_dict(self) -> dict:
         """The verdict as a JSON object, except that ``witness`` is the

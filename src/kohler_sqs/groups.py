@@ -16,6 +16,13 @@ time, and none of them is a v x v Cayley table.
 
 All values are immutable and every operation is a pure function, so groups and
 elements can be shared freely across threads.
+
+:class:`Record` is the base of the package's value records (a group, an
+orbit representative, a matching, a Koehler graph, a design and its
+reports): a plain class whose ``__init__`` is written out, frozen, compared
+and hashed by its fields.  The records are not dataclasses, so importing
+the package generates and ``exec``s no code, and loads neither
+:mod:`dataclasses` nor the :mod:`inspect` and :mod:`ast` it imports.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -52,23 +58,59 @@ def max_order_limit() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Group:
+class Record:
+    """A frozen value record.
+
+    ``_fields`` names the fields in the order of the subclass's
+    ``__init__``, which stores each in the instance ``__dict__``, where
+    :class:`~functools.cached_property` keeps its values too.  Records of
+    one class are equal when their fields are, and equal records hash
+    alike; a record never equals an object of another class.  ``repr``
+    shows every field but those in ``_unshown``.  Assigning or deleting an
+    attribute raises AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+    _unshown: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={self.__dict__[name]!r}" for name in self._fields if name not in self._unshown)
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Group(Record):
     """A finite abelian group ``Z_d1 x ... x Z_dk`` with tuple elements.
 
     Construct through :func:`make_group` (which sorts the factors) rather
     than directly; the factor checks live here, so both routes apply them.
     """
 
-    factors: tuple[int, ...]
+    _fields = ("factors",)
 
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __init__(self, factors: tuple[int, ...]) -> None:
+        self.__dict__.update(factors=factors)
+        if not factors:
             raise InvalidSpecError("a group needs at least one cyclic factor")
-        for d in self.factors:
+        for d in factors:
             if not isinstance(d, int) or d < 2:
                 raise InvalidSpecError(f"cyclic factors must be integers >= 2, got {d!r}")
-        if list(self.factors) != sorted(self.factors):
+        if list(factors) != sorted(factors):
             raise InvalidSpecError("factors must be sorted ascending; use make_group()")
 
     # -- basic structure ---------------------------------------------------
@@ -274,6 +316,12 @@ def parse_group_spec(spec: str) -> Group:
         m = _SPEC_TOKEN.match(token)
         if not m:
             raise InvalidSpecError(f"cannot parse group spec token {token!r} in {spec!r}")
-        factors.append(int(m.group(1)))
+        digits = m.group(1)
+        try:
+            factors.append(int(digits))
+        except ValueError as exc:  # past the interpreter's limit on digits converted
+            raise InvalidSpecError(
+                f"a cyclic factor in the group spec has {len(digits)} digits, too many to read"
+            ) from exc
     return make_group(factors)
 

@@ -46,26 +46,40 @@ neighbour.  The matcher and the component search in
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InternalInconsistencyError
-from .groups import Group
+from .groups import Group, Record
 from .matching import components
 from .orbits import Codes, OrbitRep, _decoded, _in_E, _in_T, _triple_pairs
 
 
-@dataclass(frozen=True)
-class KohlerGraph:
-    group: Group
-    #: per-vertex canonical base (0, a, b) as element codes, in lexicographic order
-    vertex_codes: tuple[Codes, ...]
-    #: per-edge canonical base (0, p, q, r) as element codes, in lexicographic order
-    edge_codes: tuple[Codes, ...]
-    #: per-edge pair of vertex indices (i, j), i < j
-    endpoints: tuple[tuple[int, int], ...]
-    #: per-vertex tuple of (edge index, other vertex index), sorted by the other
-    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+class KohlerGraph(Record):
+    """The Koehler graph of ``group``; ``repr`` leaves out ``adjacency``.
+
+    * ``vertex_codes``: per vertex, its canonical base (0, a, b) as element
+      codes, in lexicographic order;
+    * ``edge_codes``: per edge, its canonical base (0, p, q, r) as element
+      codes, in lexicographic order;
+    * ``endpoints``: per edge, its pair of vertex indices (i, j), i < j;
+    * ``adjacency``: per vertex, a tuple of (edge index, other vertex
+      index), sorted by the other.
+    """
+
+    _fields = ("group", "vertex_codes", "edge_codes", "endpoints", "adjacency")
+    _unshown = ("adjacency",)
+
+    def __init__(
+        self,
+        group: Group,
+        vertex_codes: tuple[Codes, ...],
+        edge_codes: tuple[Codes, ...],
+        endpoints: tuple[tuple[int, int], ...],
+        adjacency: tuple[tuple[tuple[int, int], ...], ...],
+    ) -> None:
+        self.__dict__.update(
+            group=group, vertex_codes=vertex_codes, edge_codes=edge_codes, endpoints=endpoints, adjacency=adjacency
+        )
 
     @cached_property
     def vertices(self) -> tuple[OrbitRep, ...]:

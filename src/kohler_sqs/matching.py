@@ -22,20 +22,21 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .errors import InvalidInputError
+from .groups import Record
 
 #: per-vertex rows of (edge index, neighbour), each row sorted by neighbour
 Rows = Sequence[Sequence[tuple[int, int]]]
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Record):
     """A set of pairwise disjoint edges; mate[v] is v's partner or None."""
 
-    mate: tuple[int | None, ...]
-    matched_edges: tuple[int, ...]
+    _fields = ("mate", "matched_edges")
+
+    def __init__(self, mate: tuple[int | None, ...], matched_edges: tuple[int, ...]) -> None:
+        self.__dict__.update(mate=mate, matched_edges=matched_edges)
 
     @property
     def size(self) -> int:

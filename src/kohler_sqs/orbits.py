@@ -21,26 +21,25 @@ sorted code tuple among the candidates, exactly as it is among tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidInputError
-from .groups import Element, Group
+from .groups import Element, Group, Record
 
 Subset = tuple[Element, ...]
 #: a subset as element codes
 Codes = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrbitRep:
+class OrbitRep(Record):
     """Canonical representative of an orbit of a 3- or 4-subset.
 
     ``base`` is sorted, starts with 0, and is the lex-least through-0 member
     of the orbit.
     """
 
-    group: Group
-    base: Subset
+    _fields = ("group", "base")
+
+    def __init__(self, group: Group, base: Subset) -> None:
+        self.__dict__.update(group=group, base=base)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(x) for x in self.base[1:]) + "]"

@@ -395,6 +395,14 @@ def test_construct_bad_spec_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["construct", "exists", "graph", "count"])
+def test_group_spec_past_the_digit_limit_exit_1(capsys, command):
+    # a factor longer than int() converts is a usage error, not a traceback
+    code, out, err = run_cli(capsys, command, "--group", "2" + "0" * 5000)
+    assert (code, out) == (1, "")
+    assert err == "error: a cyclic factor in the group spec has 5001 digits, too many to read\n"
+
+
 @pytest.mark.parametrize("spec", ["10", "4,4", "2,2,5", "20"])
 def test_construct_verify_round_trip(tmp_path, capsys, spec):
     design_path = tmp_path / "design.json"
@@ -407,6 +415,15 @@ def test_construct_verify_round_trip(tmp_path, capsys, spec):
     report = json.loads(out)
     assert report["is_sqs"] is True
     assert report["is_reversible"] is True
+
+
+def test_a_read_design_keeps_one_object_per_tag(tmp_path, capsys):
+    # the tags repeat over each orbit; reading them shares the equal ones
+    path = tmp_path / "design.json"
+    assert run_cli(capsys, "construct", "--group", "4,25", "--out", str(path))[0] == 0
+    provenance = cli._read_design(str(path)).provenance
+    assert len(provenance) == 40425
+    assert len(set(map(id, provenance))) == len(set(provenance))
 
 
 def test_verify_truncated_design_exit_3(tmp_path, capsys):

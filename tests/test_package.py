@@ -1,5 +1,8 @@
 import ast
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import kohler_sqs
@@ -68,3 +71,29 @@ def test_runtime_modules_import_nothing_unused():
         }
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= read, f"{path.name} imports {sorted(imported - read)} unused"
+
+
+SRC = Path(kohler_sqs.__file__).resolve().parent.parent
+
+# what the dataclasses module brings in; each command pays to import them
+CODE_GENERATION_MODULES = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+
+
+def _bare_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """``python -S`` (no site-packages) with only ``src`` on the path."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-S", *args], env=env, cwd=cwd, capture_output=True, timeout=120)
+
+
+def test_the_command_line_imports_no_code_generation_modules():
+    script = "import sys, kohler_sqs.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    proc = _bare_python("-c", script, *CODE_GENERATION_MODULES)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
+
+
+def test_construct_and_verify_run_without_site_packages(tmp_path):
+    construct = _bare_python("-m", "kohler_sqs", "construct", "--group", "2,2,5", "--out", "f", cwd=tmp_path)
+    assert (construct.returncode, construct.stdout) == (0, b""), construct.stderr
+    verify = _bare_python("-m", "kohler_sqs", "verify", "f", cwd=tmp_path)
+    assert (verify.returncode, verify.stderr) == (0, b""), verify.stderr

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import operator
 from functools import cached_property
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from math import comb
 
 from . import kohler, matching, orbits
@@ -33,7 +33,7 @@ from .errors import (
     KohlerSqsError,
     NoInvolutionError,
 )
-from .groups import Element, Group, Record, make_group, max_order_limit
+from .groups import Element, Group, Record, _order_text, make_group, max_order_limit
 from .orbits import Codes, Subset
 
 Block = Subset
@@ -62,7 +62,7 @@ def sqs_order_ok(v: int) -> bool:
 def require_sqs_order(g: Group) -> None:
     if not sqs_order_ok(g.order):
         raise InvalidOrderError(
-            f"no SQS({g.order}) exists: order must be 2 or 4 mod 6, got {g.order % 6}"
+            f"no SQS({_order_text(g.order)}) exists: order must be 2 or 4 mod 6, got {g.order % 6}"
         )
 
 
@@ -75,7 +75,7 @@ def choose_h0(g: Group) -> Element:
     with 2h = 0.
     """
     if g.order % 2 == 1:
-        raise NoInvolutionError(f"{g} has odd order {g.order}, no element of order 2")
+        raise NoInvolutionError(f"{g} has odd order {_order_text(g.order)}, no element of order 2")
     return g.decode(g.double_table.index(0, 1))
 
 
@@ -288,9 +288,8 @@ def _design_from_bytes(data: bytes) -> Design | None:
     point's text (``0,3``) is looked up in a table of the v elements'
     texts, so anything but an element misses: a digit outside the points
     leaves a bracket in some point's text.  The rest of the document is
-    parsed as JSON; its tags must be strings, and equal tags are kept as
-    one object.  :class:`Design` checks that the codes of each block
-    increase and that the tags align with the blocks.  Every
+    parsed as JSON, and equal tags are kept as one object.  :class:`Design`
+    is the one check of what is read: the codes, the tags and h0.  Every
     other input gets None, and the caller reads it as JSON, which names its
     fault; a design read here is the one that path would build."""
     if not data.startswith(_BLOCKS_HEAD):
@@ -307,15 +306,12 @@ def _design_from_bytes(data: bytes) -> Design | None:
             type(factors) is type(h0) is type(provenance) is list and factors == sorted(factors)
         ):
             return None
-        # a design has few distinct tags, each repeated over an orbit.  They
-        # are checked to be strings before they are shared, so no tag is
-        # swapped for an equal one of another type, such as 1 for True
-        if set(map(type, provenance)) - {str}:
-            return None
+        # a design has few distinct tags, each repeated over an orbit.  No
+        # string equals a non-string, so sharing swaps no string tag for a
+        # tag of another type, which Design refuses either way
         shared = dict(zip(provenance, provenance))
         provenance = tuple(map(shared.__getitem__, provenance))
         g = make_group(factors)
-        h0 = _validate_h0(g, tuple(h0))
         point = b"[" + b"," * (len(g.factors) - 1) + b"]"
         unit = b"[" + b",".join([point] * 4) + b"]"
         table = {_dumps(x)[1:-1].encode(): code for code, x in enumerate(g.elements())}
@@ -334,7 +330,7 @@ def _design_from_bytes(data: bytes) -> Design | None:
             quads = map(table.get, points)
             codes += zip(quads, quads, quads, quads)
             start = cut + 1
-        return Design(group=g, h0=h0, codes=tuple(codes), provenance=provenance)
+        return Design(group=g, h0=tuple(h0), codes=tuple(codes), provenance=provenance)
     except (KohlerSqsError, ValueError, TypeError, RecursionError):
         return None
 
@@ -342,24 +338,13 @@ def _design_from_bytes(data: bytes) -> Design | None:
 def _encode_blocks(g: Group, blocks) -> tuple[Codes, ...]:
     """Validate each block and return it as a sorted 4-tuple of codes.
 
-    ``blocks`` is read one block at a time, each block as a tuple.  A block
-    of four points found in the group's element index, whose coordinates
-    are exactly ``int`` (so neither ``1.0`` nor ``True`` passes for an
-    element) and whose codes are distinct, is taken as it is.  Any other
-    block is read point by point by :meth:`Group.encode`, which raises the
-    error; every earlier block passed, so the error names the first bad
-    block of the input."""
-    index, only_ints = g._index.get, {int}.issuperset
+    ``blocks`` is read one block at a time, each block as a tuple of four
+    points that :meth:`Group.encode` reads, which raises the error; every
+    earlier block passed, so the error names the first bad block of the
+    input."""
     out: list[Codes] = []
     for block in blocks:
         b = tuple(block)  # a block or point that is not iterable raises TypeError here
-        try:
-            p, q, r, s = sorted(map(index, b))
-            if p < q < r < s and only_ints(map(type, chain.from_iterable(b))):
-                out.append((p, q, r, s))
-                continue
-        except (TypeError, ValueError):  # unhashable, not in the index, or not four points
-            pass
         if len(b) != 4:
             raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
         p, q, r, s = sorted(map(g.encode, b))
@@ -709,7 +694,7 @@ def existence_check(g: Group) -> ExistenceVerdict:
     if not sqs_order_ok(v):
         reason = {
             "rule": "order-residue",
-            "detail": f"no SQS({v}) exists for any block set: v mod 6 = {v % 6},"
+            "detail": f"no SQS({_order_text(v)}) exists for any block set: v mod 6 = {v % 6},"
             " but 2 or 4 is required",
         }
         if v % 2 == 1:

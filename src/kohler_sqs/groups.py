@@ -58,6 +58,15 @@ def max_order_limit() -> int:
     return value
 
 
+def _order_text(n: int) -> str:
+    """A group order for a message: in decimal, or by its bit length when it
+    has more digits than ``str`` writes (4300 by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit number>"
+
+
 class Record:
     """A frozen value record.
 
@@ -249,7 +258,7 @@ class Group(Record):
         cap = max_order_limit()
         if self.order > cap:
             raise CapacityError(
-                f"group order {self.order} exceeds the enumeration limit {cap}"
+                f"group order {_order_text(self.order)} exceeds the enumeration limit {cap}"
                 f" (set {MAX_ORDER_ENV_VAR} to raise it)"
             )
 

@@ -197,9 +197,23 @@ def _verify_both_ways(path: Path) -> list[tuple[int, str, str]]:
     return outcomes
 
 
+# tags in the writer's layout that are no strings, which the reader shares
+# as it shares equal tags and leaves to Design to refuse
+NON_STRING_TAGS = {
+    "int-tag": (b'"B0"', b"1"),
+    "int-and-bool-tags": (b'"B0","B0"', b"1,true"),
+    "nan-tag": (b'"B0"', b"NaN"),
+    "null-tag": (b'"B0"', b"null"),
+    "list-tag": (b'"B0"', b'["B0"]'),
+    "object-tag": (b'"B0"', b'{"B0":0}'),
+}
+
+
 def _deviations(data: bytes) -> dict[str, bytes]:
     """Edits of ``data``, the ``construct --group 2,2,5`` stdout, each a
-    departure from the writer's layout; some still hold a valid design."""
+    departure from the writer's layout or, in that layout, a value that only
+    :class:`~kohler_sqs.engine.Design` refuses; some still hold a valid
+    design."""
     body, tail = data.split(b'],"group":')
     provenance = tail.index(b',"provenance":')
     reordered = json.loads(data)
@@ -236,6 +250,7 @@ def _deviations(data: bytes) -> dict[str, bytes]:
         "provenance-string": body + b'],"group":' + tail[:provenance] + b',"provenance":"' + b"B" * 285 + b'"}\n',
         "not-utf8-tag": data.replace(b'"B0"', b'"B\xff"', 1),
         "surrogate-tag": data.replace(b'"B0"', b'"B\xed\xa0\x80"', 1),
+        **{name: data.replace(old, new, 1) for name, (old, new) in NON_STRING_TAGS.items()},
         # the block's ]],[[ is where a small chunk is cut
         "nested-points": data.replace(
             b"[[0,0,0],[0,0,1],[0,0,2],[0,1,1]]", b"[[0,0,0],[[0,0,1]],[[0,0,2]],[0,1,1]]", 1
@@ -286,6 +301,8 @@ def test_reading_the_writers_layout_changes_no_outcome(tmp_path, capsys, monkeyp
         outcome = check(edited)
         if name == "nested-points":
             assert outcome[:2] == (1, "") and outcome[2].startswith("error: "), outcome
+        if name in NON_STRING_TAGS:
+            assert outcome == (1, "", "error: design provenance must be a list of strings\n"), (name, outcome)
     for spec, edits in STRAY_DIGITS.items():
         data = constructed[spec].encode("utf-8")
         for block, edited_block in edits:
@@ -401,6 +418,41 @@ def test_group_spec_past_the_digit_limit_exit_1(capsys, command):
     code, out, err = run_cli(capsys, command, "--group", "2" + "0" * 5000)
     assert (code, out) == (1, "")
     assert err == "error: a cyclic factor in the group spec has 5001 digits, too many to read\n"
+
+
+# orders past the 4300 digits str() writes by default: 2^15000, of 4516
+# digits, is admissible but over the capacity limit, and 3^10000 is odd
+HUGE_ORDER_ERRORS = {
+    **{
+        (command, "2"): "error: group order <15001-bit number> exceeds the enumeration limit 10000"
+        for command in ("construct", "exists", "count", "graph")
+    },
+    ("construct", "3"): "error: no SQS(<15850-bit number>) exists: order must be 2 or 4 mod 6, got 3\n",
+}
+
+
+@pytest.mark.parametrize("command, factor", [*HUGE_ORDER_ERRORS, ("exists", "3")])
+def test_a_huge_order_is_named_by_its_bit_length(command, factor):
+    spec = ",".join([factor] * (15000 if factor == "2" else 10000))
+    env = {k: v for k, v in os.environ.items() if k != "KOHLER_SQS_MAX_V"}
+    proc = subprocess.run([sys.executable, "-m", "kohler_sqs", command, "--group", spec], capture_output=True, env=env)
+    err = proc.stderr.decode()
+    assert "Traceback" not in err
+    if (command, factor) in HUGE_ORDER_ERRORS:
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert err.startswith(HUGE_ORDER_ERRORS[command, factor]) and err.count("\n") == 1, err
+    else:
+        assert (proc.returncode, err) == (2, "")
+        assert json.loads(proc.stdout) == {
+            "diagnostics": {},
+            "reason": {
+                "detail": "no SQS(<15850-bit number>) exists for any block set: v mod 6 = 3,"
+                " but 2 or 4 is required (v is odd)",
+                "rule": "order-residue",
+            },
+            "verdict": "no",
+            "witness": None,
+        }
 
 
 @pytest.mark.parametrize("spec", ["10", "4,4", "2,2,5", "20"])

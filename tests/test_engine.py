@@ -71,6 +71,9 @@ def test_choose_h0():
     assert choose_h0(Z225) == (0, 1, 0)
     with pytest.raises(NoInvolutionError):
         choose_h0(make_group([15]))
+    # 3^10000 has more digits than str() writes; the message gives its bit length
+    with pytest.raises(NoInvolutionError, match=r"has odd order <15850-bit number>, no element of order 2$"):
+        choose_h0(make_group([3] * 10000))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import ast
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +98,19 @@ def test_construct_and_verify_run_without_site_packages(tmp_path):
     assert (construct.returncode, construct.stdout) == (0, b""), construct.stderr
     verify = _bare_python("-m", "kohler_sqs", "verify", "f", cwd=tmp_path)
     assert (verify.returncode, verify.stderr) == (0, b""), verify.stderr
+
+
+def test_the_readme_claims_table_names_existing_tests():
+    # each claim cites the test that checks it; a renamed test must not leave it pointing nowhere
+    root = SRC.parent
+    cited = [
+        cite
+        for line in (root / "README.md").read_text().splitlines()
+        if line.startswith("|")
+        for cite in re.findall(r"`(tests/\w+\.py)::(\w+)`", line)
+    ]
+    assert cited, "the claims table cites no test"
+    for path, name in cited:
+        tree = ast.parse((root / path).read_text(), path)
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert name.startswith("test_") and name in defined, f"{path}::{name}"

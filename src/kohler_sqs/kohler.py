@@ -26,11 +26,14 @@ within {0, a, b, a+b} is one of +-a, +-b, +-(b-a), +-(a+b).
   skipped before its rows are built: on an elementary abelian 2-group no
   row is built at all.
 
-Endpoints are read from an index: each vertex, once found, enters its six
-through-0 pairs, packed as x*v + y with x < y, into a map to its index, and
-an edge met at the pair (a, b) joins the entries of {a, b} and {a, a+b}.  A
-missed entry, an edge joining a vertex to itself and two edges between the
-same vertices cannot occur; each is checked and raised as an
+Endpoints are read from an index: each vertex, once found, writes its index
+into the slots of its six through-0 pairs, packed as x*v + y with x < y, of
+a flat list of v*v slots (-1 for no vertex), and an edge met at the pair
+(a, b) joins the entries of {a, b} and {a, a+b}.  The list is allocated at
+the first vertex, so an empty graph allocates none, and it is released
+before the adjacency rows are built.  A missed entry, an edge joining a
+vertex to itself and two edges between the same vertices (side by side in
+a row sorted by neighbour) cannot occur; each is checked and raised as an
 :class:`~kohler_sqs.errors.InternalInconsistencyError`.
 
 The graph keeps its vertex and edge bases as code tuples, indexed in
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import InternalInconsistencyError
 from .groups import Group, Record
@@ -116,8 +120,9 @@ def build_graph(g: Group) -> KohlerGraph:
     neg, double = g.neg_table, g.double_table
 
     vertex_codes: list[Codes] = []
-    #: packed through-0 pair x*v + y, x < y -> index of its vertex
-    vertex_of: dict[int, int] = {}
+    #: packed through-0 pair x*v + y, x < y -> index of its vertex, or -1;
+    #: allocated at the first vertex, so an empty graph allocates none
+    vertex_of: list[int] | None = None
     #: edge base -> the packed pairs of its two endpoints
     edge_ends: dict[Codes, tuple[int, int]] = {}
     for a in range(1, v):
@@ -134,6 +139,8 @@ def build_graph(g: Group) -> KohlerGraph:
                     nb = neg[b]
                     if a < nb:
                         if b < nba and _in_T(neg, double, a, b):
+                            if vertex_of is None:
+                                vertex_of = [-1] * (v * v)
                             i = len(vertex_codes)
                             vertex_codes.append((0, a, b))
                             for x, y in _triple_pairs(neg, a, b, ba):
@@ -153,33 +160,40 @@ def build_graph(g: Group) -> KohlerGraph:
 
     edge_codes = sorted(edge_ends)
     endpoints = []
-    seen_pairs: dict[tuple[int, int], Codes] = {}
     for base in edge_codes:
         ku, kw = edge_ends[base]
-        iu, iw = vertex_of.get(ku), vertex_of.get(kw)
-        if iu is None or iw is None:
+        iu, iw = (vertex_of[ku], vertex_of[kw]) if vertex_of else (-1, -1)
+        if iu < 0 or iw < 0:
             raise InternalInconsistencyError(f"edge {_decoded(g.elements(), base)!r} has an endpoint outside T")
         if iu == iw:
             raise InternalInconsistencyError(f"edge {_decoded(g.elements(), base)!r} joins a vertex to itself")
-        i, j = (iu, iw) if iu < iw else (iw, iu)
-        if (i, j) in seen_pairs:
-            raise InternalInconsistencyError(
-                f"multiple edges between vertices {i} and {j}: "
-                f"{_decoded(g.elements(), seen_pairs[(i, j)])!r} and {_decoded(g.elements(), base)!r}"
-            )
-        seen_pairs[(i, j)] = base
-        endpoints.append((i, j))
+        endpoints.append((iu, iw) if iu < iw else (iw, iu))
+    del edge_ends, vertex_of
 
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in vertex_codes]
+    adjacency: list = [[] for _ in vertex_codes]
     for e, (i, j) in enumerate(endpoints):
         adjacency[i].append((e, j))
         adjacency[j].append((e, i))
+    by_neighbour = itemgetter(1)
+    for i, row in enumerate(adjacency):
+        # a stable sort: edges between the same two vertices sit side by side
+        # in edge order
+        row.sort(key=by_neighbour)
+        adjacency[i] = tuple(row)
+    parallel = [(f, e) for row in adjacency for (e, j), (f, k) in zip(row, row[1:]) if j == k]
+    if parallel:
+        f, e = min(parallel)
+        elements = g.elements()
+        raise InternalInconsistencyError(
+            f"multiple edges between vertices {endpoints[e][0]} and {endpoints[e][1]}: "
+            f"{_decoded(elements, edge_codes[e])!r} and {_decoded(elements, edge_codes[f])!r}"
+        )
     return KohlerGraph(
         group=g,
         vertex_codes=tuple(vertex_codes),
         edge_codes=tuple(edge_codes),
         endpoints=tuple(endpoints),
-        adjacency=tuple(tuple(sorted(row, key=lambda t: t[1])) for row in adjacency),
+        adjacency=tuple(adjacency),
     )
 
 

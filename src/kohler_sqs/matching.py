@@ -11,7 +11,12 @@ of the rows before it is returned.
 The matcher is the classic augmenting-path algorithm with blossom
 contraction, O(V^3).  Koehler graphs of general abelian groups contain
 vertices of degree 1 and 2, so the 3-regular shortcut (Petersen's theorem)
-does not always apply; general matching covers every case.
+does not always apply; general matching covers every case.  Its search
+state is allocated once per graph: each search resets only the vertices its
+tree touched, ``lca`` and the blossom marks compare stamps instead of
+clearing arrays, and a contraction scans the tree instead of all vertices.
+:func:`one_factor` runs it on each component in place, on the graph's own
+rows and indices.
 
 Everything is deterministic: vertices are scanned in index order, rows are
 scanned in neighbour order, and there is no randomization, so repeated runs
@@ -21,7 +26,7 @@ produce identical matchings.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import InvalidInputError
 from .groups import Record
@@ -55,7 +60,11 @@ class NoPerfectMatching(Exception):
 
 def maximum_matching(rows: Rows) -> Matching:
     """A maximum-cardinality matching, deterministic given the row ordering."""
-    return _as_matching(rows, _blossom_matching(rows))
+    match = [-1] * len(rows)
+    augment = _augmenter(rows, match)
+    for v in range(len(rows)):
+        augment(v)
+    return _as_matching(rows, [m if m != -1 else None for m in match])
 
 
 def components(rows: Rows) -> tuple[tuple[int, ...], ...]:
@@ -85,20 +94,16 @@ def one_factor(rows: Rows) -> Matching:
     Raises :class:`NoPerfectMatching` carrying the first component (by least
     vertex index) that is odd or leaves a vertex unmatched.
     """
-    mate: list[int | None] = [None] * len(rows)
+    match = [-1] * len(rows)
+    augment = _augmenter(rows, match)
     for comp in components(rows):
         if len(comp) % 2 == 1:
             raise NoPerfectMatching(comp)
-        # a component is closed under adjacency, and the index map is
-        # increasing, so the local rows stay sorted by neighbour
-        local = {v: i for i, v in enumerate(comp)}
-        sub_rows = tuple(tuple((e, local[w]) for e, w in rows[v]) for v in comp)
-        sub_mate = _blossom_matching(sub_rows)
-        if any(m is None for m in sub_mate):
+        for v in comp:
+            augment(v)
+        if any(match[v] == -1 for v in comp):
             raise NoPerfectMatching(comp)
-        for i, m in enumerate(sub_mate):
-            mate[comp[i]] = comp[m]
-    return _as_matching(rows, mate)
+    return _as_matching(rows, match)
 
 
 def _as_matching(rows: Rows, mate: list[int | None]) -> Matching:
@@ -116,43 +121,53 @@ def _as_matching(rows: Rows, mate: list[int | None]) -> Matching:
     return Matching(mate=tuple(mate), matched_edges=tuple(sorted(edge_ids)))
 
 
-def _blossom_matching(rows: Rows) -> list[int | None]:
-    """Mate array of a maximum matching (augmenting paths + blossom contraction)."""
+def _augmenter(rows: Rows, match: list[int]) -> Callable[[int], None]:
+    """``augment(root)``: if ``root`` is unmatched in ``match`` (-1 for none),
+    search for an augmenting path from it (blossom contraction) and flip it.
+
+    A contraction scans the tree in the order its vertices joined it and
+    sorts only the vertices it newly queues, so it queues them in index
+    order, as a scan of all n vertices would: the search meets the vertices
+    in the same order, and finds the same matching, as one that starts from
+    fresh arrays.
+    """
     n = len(rows)
-    match: list[int] = [-1] * n
     parent = [-1] * n
     base = list(range(n))
+    used = [False] * n
+    #: lca's path marks and the blossom marks hold the stamp of their pass
+    on_path = [0] * n
+    in_blossom = [0] * n
+    stamp = 0
+    tree: list[int] = []
 
     def lca(a: int, b: int) -> int:
-        used_path = [False] * n
         x = a
         while True:
             x = base[x]
-            used_path[x] = True
+            on_path[x] = stamp
             if match[x] == -1:
                 break
             x = parent[match[x]]
         y = b
         while True:
             y = base[y]
-            if used_path[y]:
+            if on_path[y] == stamp:
                 return y
             y = parent[match[y]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            in_blossom[base[v]] = stamp
+            in_blossom[base[match[v]]] = stamp
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
 
     def find_augmenting(root: int) -> int:
-        nonlocal base, parent
-        used = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
+        nonlocal stamp
         used[root] = True
+        tree.append(root)
         queue = deque([root])
         while queue:
             v = queue.popleft()
@@ -161,32 +176,43 @@ def _blossom_matching(rows: Rows) -> list[int | None]:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     # odd cycle: contract the blossom to its base vertex
+                    stamp += 1
                     curbase = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, curbase, to, blossom)
-                    mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
+                    mark_path(v, curbase, to)
+                    mark_path(to, curbase, v)
+                    fresh = []
+                    for i in tree:
+                        if in_blossom[base[i]] == stamp:
                             base[i] = curbase
                             if not used[i]:
                                 used[i] = True
-                                queue.append(i)
+                                fresh.append(i)
+                    fresh.sort()
+                    queue.extend(fresh)
                 elif parent[to] == -1:
                     parent[to] = v
+                    tree.append(to)
                     if match[to] == -1:
                         return to
                     used[match[to]] = True
+                    tree.append(match[to])
                     queue.append(match[to])
         return -1
 
-    for v in range(n):
-        if match[v] != -1:
-            continue
-        end = find_augmenting(v)
+    def augment(root: int) -> None:
+        if match[root] != -1:
+            return
+        end = find_augmenting(root)
         while end != -1:
             prev = parent[end]
             nxt = match[prev]
             match[end] = prev
             match[prev] = end
             end = nxt
-    return [m if m != -1 else None for m in match]
+        for i in tree:
+            parent[i] = -1
+            base[i] = i
+            used[i] = False
+        tree.clear()
+
+    return augment

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -343,3 +344,25 @@ def test_elementary_abelian_2_group_builds_no_translation_row():
     graph = build_graph(g)
     assert graph.vertex_codes == graph.edge_codes == ()
     assert "_fold" not in g.__dict__
+
+
+@pytest.mark.parametrize(
+    "factors, bound",
+    [([250], 4_500_000), ([2] * 8, 16_000), ([2] * 6 + [4], 16_000)],
+    ids=["Z250", "Z2^8", "Z2^6xZ4"],
+)
+def test_graph_build_stays_in_bounded_memory(factors, bound):
+    # the group's tables are built by a first pass; the traced second pass
+    # holds only the graph's own allocations.  At Z250 the graph is about
+    # 3.3 MB; a dict of packed pairs with a dict of seen vertex pairs beside
+    # it peaked near 8 MB, and on the empty graphs an index allocated before
+    # the first vertex is found took over 100 KB
+    g = make_group(factors)
+    build_graph(g)
+    tracemalloc.start()
+    try:
+        build_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak

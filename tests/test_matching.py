@@ -15,6 +15,7 @@ from kohler_sqs.matching import (
 
 from util import (
     abelian_groups_up_to,
+    blossom_matching_by_full_scans,
     brute_force_matching_size,
     rows_from_edges,
     two_edge_connected,
@@ -151,3 +152,26 @@ def test_determinism():
     for _ in range(3):
         again = maximum_matching(g)
         assert again == first
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [abelian_groups_up_to(130), [make_group(f) for f in ([158], [196], [2, 2, 49], [250])]],
+    ids=["v<=130", "v<=250"],
+)
+def test_mates_equal_the_full_scan_matcher_on_every_component(groups):
+    # the reused search state must pick the same 1-factor as a matcher that
+    # starts every search afresh, or construct would write other blocks
+    for g in groups:
+        rows = build_graph(g).adjacency
+        mate = maximum_matching(rows).mate
+        try:
+            factor = one_factor(rows).mate
+        except NoPerfectMatching:
+            factor = None
+        for comp in components(rows):
+            local = {v: i for i, v in enumerate(comp)}
+            sub_rows = tuple(tuple((e, local[w]) for e, w in rows[v]) for v in comp)
+            expected = [None if m is None else comp[m] for m in blossom_matching_by_full_scans(sub_rows)]
+            assert [mate[v] for v in comp] == expected, (g, comp[0])
+        assert factor is None or factor == mate, g

@@ -12,7 +12,7 @@ here rather than in the package.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -108,6 +108,85 @@ def brute_force_matching_size(n: int, edges: list[tuple[int, int]]) -> int:
 
     rec(0, set(), 0)
     return best
+
+
+def blossom_matching_by_full_scans(rows) -> list[int | None]:
+    """Mate array of a maximum matching (augmenting paths + blossom
+    contraction), the matcher the package used before its search state was
+    reused: every search allocates its arrays afresh and every contraction
+    scans all n vertices.  The package's matcher must give the same mates."""
+    n = len(rows)
+    match: list[int] = [-1] * n
+    parent = [-1] * n
+    base = list(range(n))
+
+    def lca(a: int, b: int) -> int:
+        used_path = [False] * n
+        x = a
+        while True:
+            x = base[x]
+            used_path[x] = True
+            if match[x] == -1:
+                break
+            x = parent[match[x]]
+        y = b
+        while True:
+            y = base[y]
+            if used_path[y]:
+                return y
+            y = parent[match[y]]
+
+    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    def find_augmenting(root: int) -> int:
+        nonlocal base, parent
+        used = [False] * n
+        parent = [-1] * n
+        base = list(range(n))
+        used[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for _, to in rows[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    # odd cycle: contract the blossom to its base vertex
+                    curbase = lca(v, to)
+                    blossom = [False] * n
+                    mark_path(v, curbase, to, blossom)
+                    mark_path(to, curbase, v, blossom)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        return to
+                    used[match[to]] = True
+                    queue.append(match[to])
+        return -1
+
+    for v in range(n):
+        if match[v] != -1:
+            continue
+        end = find_augmenting(v)
+        while end != -1:
+            prev = parent[end]
+            nxt = match[prev]
+            match[end] = prev
+            match[prev] = end
+            end = nxt
+    return [m if m != -1 else None for m in match]
 
 
 def is_bipartite(adjacency) -> bool:

@@ -20,9 +20,8 @@ over Z2 x Z2 x Z5).
 from __future__ import annotations
 
 import json
-import operator
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 from . import kohler, matching, orbits
@@ -183,7 +182,8 @@ class Design(Record):
     """An assembled block set with per-block provenance.
 
     ``codes[i]`` is block i as a sorted 4-tuple of element codes, checked,
-    as ``h0`` is, when the design is made; ``provenance[i]`` is ``"B0"`` or
+    as ``h0`` is, when the design is made from codes, and its orbits checked
+    instead when it is made from orbits; ``provenance[i]`` is ``"B0"`` or
     ``"factor:<edge-index>"``, an index into the Koehler graph's edges.  A
     constructed design lists its blocks in lexicographic order, and
     :attr:`blocks` decodes them to coordinate tuples on first read.
@@ -205,6 +205,28 @@ class Design(Record):
         if len(codes) != len(provenance):
             raise InvalidInputError("provenance must align with blocks")
         _validate_h0(group, h0)
+
+    @classmethod
+    def _from_orbits(cls, group: Group, h0: Element, tagged: list[tuple[Codes, str]]) -> Design:
+        """The design made of the orbits of the bases in ``tagged``, each block
+        tagged as its base is.  :func:`_orbits_form_sqs` checks the orbits
+        before any block is made; distinct orbits share no block, so their
+        expansions are concatenated and sorted, and not checked again."""
+        if not _orbits_form_sqs(group, [base for base, _ in tagged]):
+            raise InternalInconsistencyError(f"the orbits assembled for {group} do not form a reversible SQS")
+        blocks: list[Codes] = []
+        tags: list[str] = []
+        for base, tag in tagged:
+            members = orbits._expand(group, base)
+            blocks += members
+            tags += [tag] * len(members)
+        order = sorted(range(len(blocks)), key=blocks.__getitem__)
+        codes = tuple(map(blocks.__getitem__, order))
+        del blocks  # freed before the tags are sorted, which lowers the peak
+        provenance = tuple(map(tags.__getitem__, order))
+        design = cls.__new__(cls)
+        design.__dict__.update(group=group, h0=h0, codes=codes, provenance=provenance)
+        return design
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -359,8 +381,9 @@ def construct_design(g: Group, h0: Element | None = None) -> Design:
     1-factor edge of the Koehler graph.
 
     Raises :class:`ConstructionFailure` when the graph has no 1-factor (which
-    disproves existence only if the Sylow 2-subgroup is cyclic) and verifies
-    the result before returning it.
+    disproves existence only if the Sylow 2-subgroup is cyclic) and checks
+    its orbits before any block is made.  B0 is built only once a 1-factor
+    exists, so a failed matching wastes no B0 work.
     """
     require_sqs_order(g)
     graph = kohler.build_graph(g)  # checks the capacity before h0 is looked for
@@ -369,34 +392,7 @@ def construct_design(g: Group, h0: Element | None = None) -> Design:
         factor = matching.one_factor(graph.adjacency)
     except matching.NoPerfectMatching as exc:
         raise ConstructionFailure(graph, exc.component) from exc
-    return _assemble(g, h0, graph, factor)
-
-
-def _assemble(
-    g: Group, h0: Element, graph: kohler.KohlerGraph, factor: matching.Matching
-) -> Design:
-    """B0 plus the expansions of the 1-factor's edge orbits, verified orbit
-    by orbit before any block is made.
-
-    B0 is built only here, once a 1-factor exists, so a failed matching
-    wastes no B0 work.  Distinct orbits share no block, so the expansions
-    are concatenated, and the sorted blocks must increase strictly and
-    number C(v, 3)/4, as the blocks of every SQS(v) do: that ties them to
-    the verified orbits."""
-    tagged = _design_bases(g, h0, graph, factor)
-    if not _orbits_form_sqs(g, [base for base, _ in tagged]):
-        raise InternalInconsistencyError(f"the orbits assembled for {g} do not form a reversible SQS")
-    blocks: list[Codes] = []
-    tags: list[str] = []
-    for base, tag in tagged:
-        members = orbits._expand(g, base)
-        blocks += members
-        tags += [tag] * len(members)
-    order = sorted(range(len(blocks)), key=blocks.__getitem__)
-    codes = tuple(map(blocks.__getitem__, order))
-    if len(codes) != comb(g.order, 3) // 4 or not all(map(operator.lt, codes, islice(codes, 1, None))):
-        raise InternalInconsistencyError(f"the orbits assembled for {g} expand to other blocks than verified")
-    return Design(group=g, h0=h0, codes=codes, provenance=tuple(map(tags.__getitem__, order)))
+    return Design._from_orbits(g, h0, _design_bases(g, h0, graph, factor))
 
 
 def _design_bases(

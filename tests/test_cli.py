@@ -52,6 +52,8 @@ PINNED_STDOUT = {
     # same bytes as its verify inputs
     "construct --group 4,25": (0, "add4c005d9d53e7bbe7bee705ade87b5c7a93b36dd2d9576b354a67d71d3a596"),
     "construct --group 2,2,25": (0, "01eb9e38c132e2a19cf373e2186b60491b79db4f325c2011f506c9fba7034002"),
+    # the same design as a "yes" verdict's witness
+    "exists --group 2,2,25": (0, "f0a1003eb630be5076ecf466dd1ddd2e03e6969b88cea21bd2198e28e641e318"),
     # v >= 200: 643,250 blocks, 24 MB in 158 chunks
     "construct --group 250": (0, "5f59e0f0180260ae1e880571f7f385e0a4db2563dabe0c47512250973dc06a81"),
     # the benchmark's decide ops: two "no" verdicts and an "unknown", each

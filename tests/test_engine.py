@@ -797,7 +797,13 @@ def test_symmetry_is_tested_on_blocks_through_zero_only_when_invariant(monkeypat
         return original(group, blocks)
 
     monkeypatch.setattr(orbits, "_asymmetric", counted)
-    design = construct_design(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction checks its orbits, not its blocks")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine.Design, "__init__", refuse)
+        design = construct_design(g)
     # construction tests each of its 405 orbit bases once, and no block
     assert len(calls) == 405
     calls.clear()
@@ -873,6 +879,8 @@ def test_orbit_verifier_agrees_with_the_block_verifier():
     for design in constructed_designs(64):
         g, bases = design.group, _design_bases(design)
         assert tuple(sorted(b for base in bases for b in orbits._expand(g, base))) == design.codes
+        # the checked constructor accepts what construction made, as an equal record
+        assert Design(group=g, h0=design.h0, codes=design.codes, provenance=design.provenance) == design
         assert _verdicts(g, bases) == (True, True), str(g)
         for mutated in _base_mutations(g, bases) if bases else ():
             assert _verdicts(g, mutated) == (False, False), str(g)
@@ -895,10 +903,14 @@ def test_orbit_verifier_agrees_with_the_block_verifier():
 
 
 def test_construction_refuses_bases_that_fail_the_orbit_verifier(monkeypatch):
-    original = engine._design_bases
-    monkeypatch.setattr(engine, "_design_bases", lambda *args: original(*args)[1:])
-    with pytest.raises(InternalInconsistencyError):
-        construct_design(Z44)
+    bases = _design_bases(construct_design(Z44))
+    mutations = list(_base_mutations(Z44, bases))
+    # dropped, duplicated, asymmetric, twin-orbit and second member
+    assert len(mutations) == 5
+    for mutated in [bases[1:], *mutations]:
+        monkeypatch.setattr(engine, "_design_bases", lambda *args, m=mutated: [(base, B0_TAG) for base in m])
+        with pytest.raises(InternalInconsistencyError):
+            construct_design(Z44)
 
 
 def _design(g, codes) -> Design:

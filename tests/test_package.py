@@ -74,6 +74,30 @@ def test_runtime_modules_import_nothing_unused():
         assert imported <= read, f"{path.name} imports {sorted(imported - read)} unused"
 
 
+def _calls(node: ast.AST, scope: str = ""):
+    """(qualified name of the enclosing function or class, call) for each
+    call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield scope, child
+        inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+        yield from _calls(child, inner)
+
+
+def test_the_one_constructor_without_the_block_check_checks_orbits_first():
+    # a record made without its __init__ skips the block check: only
+    # Design._from_orbits may, and it checks its orbits before expanding one
+    calls = [
+        (path.name, scope, call)
+        for path in sorted(Path(kohler_sqs.__file__).parent.glob("*.py"))
+        for scope, call in _calls(ast.parse(path.read_text(), str(path)))
+    ]
+    makers = {(name, scope) for name, scope, call in calls if getattr(call.func, "attr", None) == "__new__"}
+    assert makers == {("engine.py", "Design._from_orbits")}
+    first = {ast.unparse(call.func): call.lineno for _, scope, call in reversed(calls) if scope == "Design._from_orbits"}
+    assert first["_orbits_form_sqs"] < first["orbits._expand"]
+
+
 SRC = Path(kohler_sqs.__file__).resolve().parent.parent
 
 # modules no command needs at start-up, each paid for by every command that

@@ -20,8 +20,9 @@ over Z2 x Z2 x Z5).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from . import kohler, matching, orbits
@@ -169,8 +170,10 @@ def count_special_triples(g: Group) -> int:
     return count
 
 
-#: blocks (and provenance tags) per write when a design is written as JSON
-JSON_CHUNK = 4096
+#: blocks (and provenance tags) per write when a design is written as JSON;
+#: a constructed design's blocks are rendered for the chunk that writes them,
+#: so each chunk holds its blocks, their tags and their text at once
+JSON_CHUNK = 1024
 
 
 def _dumps(value) -> str:
@@ -181,12 +184,14 @@ def _dumps(value) -> str:
 class Design(Record):
     """An assembled block set with per-block provenance.
 
-    ``codes[i]`` is block i as a sorted 4-tuple of element codes, checked,
-    as ``h0`` is, when the design is made from codes, and its orbits checked
-    instead when it is made from orbits; ``provenance[i]`` is ``"B0"`` or
-    ``"factor:<edge-index>"``, an index into the Koehler graph's edges.  A
-    constructed design lists its blocks in lexicographic order, and
-    :attr:`blocks` decodes them to coordinate tuples on first read.
+    ``codes[i]`` is block i as a sorted 4-tuple of element codes, and
+    ``provenance[i]`` is ``"B0"`` or ``"factor:<edge-index>"``, an index into
+    the Koehler graph's edges.  A design made from codes holds both, checked
+    as ``h0`` is.  A constructed design holds only its blocks through 0, each
+    with its base's tag, its orbits checked instead: its blocks are rendered
+    from those in lexicographic order on demand, and ``codes`` and
+    ``provenance`` on first read.  :attr:`blocks` decodes the codes to
+    coordinate tuples on first read.
     """
 
     _fields = ("group", "h0", "codes", "provenance")
@@ -209,24 +214,47 @@ class Design(Record):
     @classmethod
     def _from_orbits(cls, group: Group, h0: Element, tagged: list[tuple[Codes, str]]) -> Design:
         """The design made of the orbits of the bases in ``tagged``, each block
-        tagged as its base is.  :func:`_orbits_form_sqs` checks the orbits
-        before any block is made; distinct orbits share no block, so their
-        expansions are concatenated and sorted, and not checked again."""
-        if not _orbits_form_sqs(group, [base for base, _ in tagged]):
+        tagged as its base is.  :func:`_orbits_form_sqs` checks the orbits on
+        their blocks through 0, and the design keeps those, sorted, to render
+        its blocks from; no block is checked again."""
+        through_zero = _through_zero(group, tagged)
+        if not _orbits_form_sqs(group, [base for base, _ in tagged], [block for block, _ in through_zero]):
             raise InternalInconsistencyError(f"the orbits assembled for {group} do not form a reversible SQS")
-        blocks: list[Codes] = []
-        tags: list[str] = []
-        for base, tag in tagged:
-            members = orbits._expand(group, base)
-            blocks += members
-            tags += [tag] * len(members)
-        order = sorted(range(len(blocks)), key=blocks.__getitem__)
-        codes = tuple(map(blocks.__getitem__, order))
-        del blocks  # freed before the tags are sorted, which lowers the peak
-        provenance = tuple(map(tags.__getitem__, order))
         design = cls.__new__(cls)
-        design.__dict__.update(group=group, h0=h0, codes=codes, provenance=provenance)
+        design.__dict__.update(group=group, h0=h0, _through_zero=tuple(sorted(through_zero)))
         return design
+
+    def _tagged_blocks(self) -> Iterator[tuple[Codes, str]]:
+        """Each block with its tag, in order.
+
+        A constructed design renders them from its blocks through 0.  Its
+        blocks are a union of orbits, so each block B is p + C for exactly
+        one pair: p the least code of B and C = B - p a block through 0.  The
+        blocks whose least code is p are thus the translates by p of the
+        blocks {0, a, b, c} through 0 with a + p, b + p and c + p all above
+        p; each block is met once per point of it and kept once."""
+        through_zero = self.__dict__.get("_through_zero")
+        if through_zero is None:
+            yield from zip(self.codes, self.provenance)
+            return
+        g = self.group
+        for p in range(g.order):
+            row = g.translation(p)
+            kept = []
+            for (_, a, b, c), tag in through_zero:
+                x, y, z = row[a], row[b], row[c]
+                if x > p and y > p and z > p:
+                    kept.append(((p, *sorted((x, y, z))), tag))
+            kept.sort()
+            yield from kept
+
+    @cached_property
+    def codes(self) -> tuple[Codes, ...]:
+        return tuple(block for block, _ in self._tagged_blocks())
+
+    @cached_property
+    def provenance(self) -> tuple[str, ...]:
+        return tuple(tag for _, tag in self._tagged_blocks())
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -235,7 +263,10 @@ class Design(Record):
 
     @property
     def block_count(self) -> int:
-        return len(self.codes)
+        """The number of blocks, which a constructed design counts without
+        rendering them: v blocks per block through 0, over its four points."""
+        through_zero = self.__dict__.get("_through_zero")
+        return len(self.codes) if through_zero is None else self.group.order * len(through_zero) // 4
 
     def verify(self) -> VerificationReport:
         """Triple coverage and reversibility of the blocks, as
@@ -250,16 +281,20 @@ class Design(Record):
         The bytes are those of ``json.dumps(..., sort_keys=True,
         separators=(",", ":"))`` on that object, but no block is built as a
         list: each element is rendered once, and blocks and provenance go to
-        ``fh`` in chunks of :data:`JSON_CHUNK` entries."""
+        ``fh`` in chunks of :data:`JSON_CHUNK` entries.  The blocks are
+        streamed as :meth:`_tagged_blocks` renders them, and their tags kept
+        for the provenance that follows."""
         el = [_dumps(x) for x in self.group.elements()]
-        codes, provenance = self.codes, self.provenance
+        tagged = self._tagged_blocks()
+        tags: list[str] = []
         fh.write('{"blocks":[')
-        for start in range(0, len(codes), JSON_CHUNK):
-            chunk = codes[start : start + JSON_CHUNK]
-            fh.write(("," if start else "") + ",".join([f"[{el[p]},{el[q]},{el[r]},{el[s]}]" for p, q, r, s in chunk]))
+        while chunk := list(islice(tagged, JSON_CHUNK)):
+            text = ",".join([f"[{el[p]},{el[q]},{el[r]},{el[s]}]" for (p, q, r, s), _ in chunk])
+            fh.write(("," if tags else "") + text)
+            tags += [tag for _, tag in chunk]
         fh.write(f'],"group":{_dumps(self.group.factors)},"h0":{_dumps(self.h0)},"provenance":[')
-        for start in range(0, len(provenance), JSON_CHUNK):
-            fh.write(("," if start else "") + _dumps(provenance[start : start + JSON_CHUNK])[1:-1])
+        for start in range(0, len(tags), JSON_CHUNK):
+            fh.write(("," if start else "") + _dumps(tags[start : start + JSON_CHUNK])[1:-1])
         fh.write("]}")
 
 
@@ -333,6 +368,8 @@ def _design_from_bytes(data: bytes) -> Design | None:
         # tag of another type, which Design refuses either way
         shared = dict(zip(provenance, provenance))
         provenance = tuple(map(shared.__getitem__, provenance))
+        # the parsed list of tags is freed before the blocks are decoded
+        del tail, shared
         g = make_group(factors)
         point = b"[" + b"," * (len(g.factors) - 1) + b"]"
         unit = b"[" + b",".join([point] * 4) + b"]"
@@ -486,16 +523,20 @@ def _covers_pairs_once(v: int, through_zero: list[Codes]) -> bool:
     return len(pairs) == comb(v - 1, 2) and len(set(pairs)) == len(pairs)
 
 
-def _orbits_form_sqs(g: Group, bases: list[Codes]) -> bool:
-    """Are the orbits of ``bases`` the blocks of a reversible SQS on ``g``?
-    Their union is invariant, and symmetric when every base is; its blocks
-    through 0, the distinct through-0 members of the orbits, must pass
-    :func:`_covers_pairs_once`, which a base listed twice, or two bases of
-    one orbit, fail by repeating every pair."""
-    if orbits._asymmetric(g, bases):
-        return False
-    through_zero = [member for base in bases for member in set(orbits._through_zero_candidates(g, base))]
-    return _covers_pairs_once(g.order, through_zero)
+def _through_zero(g: Group, tagged: list[tuple[Codes, str]]) -> list[tuple[Codes, str]]:
+    """The distinct through-0 members of the orbit of each base in
+    ``tagged``, each with its base's tag: the blocks through 0 of the union
+    of the orbits, each once when the orbits are distinct."""
+    return [(member, tag) for base, tag in tagged for member in set(orbits._through_zero_candidates(g, base))]
+
+
+def _orbits_form_sqs(g: Group, bases: list[Codes], through_zero: list[Codes]) -> bool:
+    """Are the orbits of ``bases`` the blocks of a reversible SQS on ``g``,
+    given ``through_zero``, their members through 0 as :func:`_through_zero`
+    lists them?  Their union is invariant, and symmetric when every base is;
+    its blocks through 0 must pass :func:`_covers_pairs_once`, which a base
+    listed twice, or two bases of one orbit, fail by repeating every pair."""
+    return not orbits._asymmetric(g, bases) and _covers_pairs_once(g.order, through_zero)
 
 
 def _missing_images(g: Group, codes: tuple[Codes, ...]) -> tuple[bool, list[tuple[str, set[Codes]]]]:

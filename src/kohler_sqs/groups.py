@@ -72,17 +72,18 @@ class Record:
 
     ``_fields`` names the fields in the order of the subclass's
     ``__init__``, which stores each in the instance ``__dict__``, where
-    :class:`~functools.cached_property` keeps its values too.  Records of
-    one class are equal when their fields are, and equal records hash
-    alike; a record never equals an object of another class.  ``repr``
-    shows every field but those in ``_unshown``.  Assigning or deleting an
-    attribute raises AttributeError."""
+    :class:`~functools.cached_property` keeps its values too.  Fields are
+    read as attributes, so a record made another way may compute a field on
+    first read.  Records of one class are equal when their fields are, and
+    equal records hash alike; a record never equals an object of another
+    class.  ``repr`` shows every field but those in ``_unshown``.  Assigning
+    or deleting an attribute raises AttributeError."""
 
     _fields: tuple[str, ...] = ()
     _unshown: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -93,7 +94,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = (f"{name}={self.__dict__[name]!r}" for name in self._fields if name not in self._unshown)
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._unshown)
         return f"{self.__class__.__qualname__}({', '.join(shown)})"
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -54,6 +54,7 @@ from util import (
     killed_by,
     quadruple_orbit_reps,
     reversibility_violations_by_sorting,
+    tagged_blocks_by_sorting,
 )
 
 Z10 = make_group([10])
@@ -816,19 +817,29 @@ def test_symmetry_is_tested_on_blocks_through_zero_only_when_invariant(monkeypat
     assert len(calls) == len(design.codes) - 1
 
 
+def _tagged_bases(g, h0) -> list:
+    """The tagged orbit bases construction assembles its design on ``g`` from."""
+    graph = build_graph(g)
+    return engine._design_bases(g, h0, graph, matching.one_factor(graph.adjacency))
+
+
 def _design_bases(design: Design) -> list:
     """The orbit bases construction assembled ``design`` from."""
-    g = design.group
-    graph = build_graph(g)
-    factor = matching.one_factor(graph.adjacency)
-    return [base for base, _ in engine._design_bases(g, design.h0, graph, factor)]
+    return [base for base, _ in _tagged_bases(design.group, design.h0)]
+
+
+def _orbits_form_sqs(g, bases) -> bool:
+    """The orbit verifier's verdict on ``bases``, their members through 0
+    listed as construction lists them."""
+    through_zero = engine._through_zero(g, [(base, B0_TAG) for base in bases])
+    return engine._orbits_form_sqs(g, bases, [block for block, _ in through_zero])
 
 
 def _verdicts(g, bases) -> tuple[bool, bool]:
     """Whether the orbit verifier accepts ``bases``, and whether the block
     verifier accepts every block of every orbit, an orbit listed twice
     listing its blocks twice; its report must equal :func:`_reference_report`."""
-    accepted = engine._orbits_form_sqs(g, bases)
+    accepted = _orbits_form_sqs(g, bases)
     blocks = tuple(block for base in bases for block in orbits._expand(g, base))
     report = _design(g, blocks).verify()
     assert report == _reference_report(g, blocks)
@@ -878,7 +889,6 @@ def _sqs20_bases(rows) -> list:
 def test_orbit_verifier_agrees_with_the_block_verifier():
     for design in constructed_designs(64):
         g, bases = design.group, _design_bases(design)
-        assert tuple(sorted(b for base in bases for b in orbits._expand(g, base))) == design.codes
         # the checked constructor accepts what construction made, as an equal record
         assert Design(group=g, h0=design.h0, codes=design.codes, provenance=design.provenance) == design
         assert _verdicts(g, bases) == (True, True), str(g)
@@ -911,6 +921,48 @@ def test_construction_refuses_bases_that_fail_the_orbit_verifier(monkeypatch):
         monkeypatch.setattr(engine, "_design_bases", lambda *args, m=mutated: [(base, B0_TAG) for base in m])
         with pytest.raises(InternalInconsistencyError):
             construct_design(Z44)
+
+
+def test_a_constructed_design_renders_the_sorted_expansion_of_its_orbits():
+    # the blocks rendered from those through 0, and their tags, against every
+    # orbit expanded, tagged and argsorted
+    Z425, Z2225 = make_group([4, 25]), make_group([2, 2, 25])
+    cases = [(d.group, d.h0) for d in constructed_designs(64)]
+    cases += [(Z425, choose_h0(Z425)), (Z2225, choose_h0(Z2225)), (Z2225, (1, 1, 0))]
+    assert choose_h0(Z2225) != (1, 1, 0)
+    for g, h0 in cases:
+        tagged = _tagged_bases(g, h0)
+        design = Design._from_orbits(g, h0, tagged)
+        assert (design.codes, design.provenance) == tagged_blocks_by_sorting(g, tagged), str(g)
+        assert design.block_count == len(design.codes), str(g)
+
+
+def test_a_constructed_design_equals_the_design_of_its_codes_before_they_are_read():
+    for g in (Z10, Z44, make_group([2, 2, 5])):
+        h0 = choose_h0(g)
+        tagged = _tagged_bases(g, h0)
+        from_codes = Design(g, h0, *tagged_blocks_by_sorting(g, tagged))
+        # equality, hash and repr each on a design whose codes are not read yet
+        made = [Design._from_orbits(g, h0, tagged) for _ in range(3)]
+        assert not any("codes" in d.__dict__ or "provenance" in d.__dict__ for d in made)
+        assert made[0] == from_codes and from_codes == made[0]
+        assert hash(made[1]) == hash(from_codes)
+        assert repr(made[2]) == repr(from_codes)
+    # a design that differs in one tag is another design
+    g = Z10
+    codes, provenance = tagged_blocks_by_sorting(g, _tagged_bases(g, (5,)))
+    other = Design(g, (5,), codes, ("factor:9",) + provenance[1:])
+    assert construct_design(g) != other
+
+
+def test_a_constructed_design_renders_no_block_to_be_counted_or_decided():
+    # existence and the block count need the blocks through 0, not the codes
+    verdict = existence_check(make_group([2, 2, 25]))
+    design = verdict.design
+    assert verdict.verdict == "yes" and "with 40425 blocks" in verdict.reason["detail"]
+    assert "codes" not in design.__dict__ and "provenance" not in design.__dict__
+    assert design.block_count == 40425
+    assert "codes" not in design.__dict__ and "provenance" not in design.__dict__
 
 
 def _design(g, codes) -> Design:

@@ -86,7 +86,9 @@ def _calls(node: ast.AST, scope: str = ""):
 
 def test_the_one_constructor_without_the_block_check_checks_orbits_first():
     # a record made without its __init__ skips the block check: only
-    # Design._from_orbits may, and it checks its orbits before expanding one
+    # Design._from_orbits may, and only once its orbits have passed
+    # _orbits_form_sqs, in a statement before the record is made that raises
+    # when they fail
     calls = [
         (path.name, scope, call)
         for path in sorted(Path(kohler_sqs.__file__).parent.glob("*.py"))
@@ -94,8 +96,28 @@ def test_the_one_constructor_without_the_block_check_checks_orbits_first():
     ]
     makers = {(name, scope) for name, scope, call in calls if getattr(call.func, "attr", None) == "__new__"}
     assert makers == {("engine.py", "Design._from_orbits")}
-    first = {ast.unparse(call.func): call.lineno for _, scope, call in reversed(calls) if scope == "Design._from_orbits"}
-    assert first["_orbits_form_sqs"] < first["orbits._expand"]
+    engine_tree = ast.parse((Path(kohler_sqs.__file__).parent / "engine.py").read_text())
+    (from_orbits,) = [
+        node for node in ast.walk(engine_tree) if isinstance(node, ast.FunctionDef) and node.name == "_from_orbits"
+    ]
+    made = [
+        i
+        for i, statement in enumerate(from_orbits.body)
+        if any(getattr(call.func, "attr", None) == "__new__" for _, call in _calls(ast.Module([statement], [])))
+    ]
+    assert len(made) == 1
+    guards = [
+        statement
+        for statement in from_orbits.body[: made[0]]
+        if isinstance(statement, ast.If)
+        and not statement.orelse
+        and [type(s) for s in statement.body] == [ast.Raise]
+        and isinstance(statement.test, ast.UnaryOp)
+        and isinstance(statement.test.op, ast.Not)
+        and isinstance(statement.test.operand, ast.Call)
+        and ast.unparse(statement.test.operand.func) == "_orbits_form_sqs"
+    ]
+    assert len(guards) == 1
 
 
 SRC = Path(kohler_sqs.__file__).resolve().parent.parent

@@ -393,6 +393,21 @@ def design_json_dict(design: Design) -> dict:
     }
 
 
+def tagged_blocks_by_sorting(g: Group, tagged) -> tuple[tuple[Codes, ...], tuple[str, ...]]:
+    """The reference for the blocks and provenance of a design made by
+    ``Design._from_orbits(g, h0, tagged)``: every orbit expanded, its blocks
+    tagged as its base is, all concatenated and argsorted, as construction
+    assembled its design before it rendered the blocks from those through 0."""
+    blocks: list[Codes] = []
+    tags: list[str] = []
+    for base, tag in tagged:
+        members = orbits._expand(g, base)
+        blocks += members
+        tags += [tag] * len(members)
+    order = sorted(range(len(blocks)), key=blocks.__getitem__)
+    return tuple(map(blocks.__getitem__, order)), tuple(map(tags.__getitem__, order))
+
+
 def encode_blocks_by_reference(g: Group, blocks) -> tuple[Codes, ...]:
     """The reference for ``engine._encode_blocks``: each block as its sorted
     codes, read point by point.  A point is an element when it is a tuple of

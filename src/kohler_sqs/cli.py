@@ -19,6 +19,7 @@ import argparse
 import gc
 import io
 import json
+import re
 import sys
 
 from . import engine, kohler
@@ -58,12 +59,20 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+_DIGITS = re.compile("[0-9]+")
+
+
 def _parse_h0(g: Group, raw: str | None) -> Element | None:
     if raw is None:
         return None
+    # ASCII digits, spaces around them allowed, as in a group spec: int()
+    # would also read a sign, an underscore and any Unicode digit
+    parts = [part.strip(" ") for part in raw.split(",")]
     try:
-        coords = tuple(int(c) for c in raw.split(","))
-    except ValueError as exc:
+        if not all(map(_DIGITS.fullmatch, parts)):
+            raise ValueError(raw)
+        coords = tuple(map(int, parts))
+    except ValueError as exc:  # also a coordinate past int()'s limit on digits
         raise InvalidInputError(
             f"cannot parse h0 {raw!r}: expected comma-separated residues"
         ) from exc

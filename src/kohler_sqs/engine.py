@@ -20,9 +20,9 @@ over Z2 x Z2 x Z5).
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 
 from . import kohler, matching, orbits
@@ -181,35 +181,71 @@ def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+class _Packed:
+    """The blocks of a flat sequence of codes, four per block: each iteration
+    reads the codes afresh and yields each block as a 4-tuple, so the tuples
+    of all the blocks never exist at once."""
+
+    __slots__ = ("flat",)
+
+    def __init__(self, flat) -> None:
+        self.flat = flat
+
+    def __len__(self) -> int:
+        return len(self.flat) // 4
+
+    def __iter__(self) -> Iterator[Codes]:
+        codes = iter(self.flat)
+        return zip(codes, codes, codes, codes)
+
+
+#: blocks as 4-tuples of codes, packed or not, which the verifier reads more
+#: than once
+_Blocks = _Packed | tuple[Codes, ...]
+
+
 class Design(Record):
     """An assembled block set with per-block provenance.
 
     ``codes[i]`` is block i as a sorted 4-tuple of element codes, and
     ``provenance[i]`` is ``"B0"`` or ``"factor:<edge-index>"``, an index into
-    the Koehler graph's edges.  A design made from codes holds both, checked
-    as ``h0`` is.  A constructed design holds only its blocks through 0, each
-    with its base's tag, its orbits checked instead: its blocks are rendered
-    from those in lexicographic order on demand, and ``codes`` and
-    ``provenance`` on first read.  :attr:`blocks` decodes the codes to
-    coordinate tuples on first read.
+    the Koehler graph's edges.  A design made from codes checks them, the
+    tags and ``h0``, and holds the codes packed, four per block, in one
+    ``array("I")``; ``codes`` renders them as tuples on first read, and
+    :meth:`verify` reads them packed.  A constructed design holds only its
+    blocks through 0, each with its base's tag, its orbits checked instead:
+    its blocks are rendered from those in lexicographic order on demand, and
+    ``codes`` and ``provenance`` on first read.  :attr:`blocks` decodes the
+    codes to coordinate tuples on first read.
     """
 
     _fields = ("group", "h0", "codes", "provenance")
 
-    def __init__(self, group: Group, h0: Element, codes: tuple[Codes, ...], provenance: tuple[str, ...]) -> None:
-        self.__dict__.update(group=group, h0=h0, codes=codes, provenance=provenance)
+    def __init__(self, group: Group, h0: Element, codes: Iterable[Codes], provenance: tuple[str, ...]) -> None:
+        # imported here, as only a design made from codes needs it: loading
+        # the extension would add to the peak memory of every command
+        from array import array
+
         v = group.order
+        flat: list[int] = []
         for block in codes:
             if type(block) is tuple and len(block) == 4:
                 p, q, r, s = block
                 if type(p) is type(q) is type(r) is type(s) is int and 0 <= p < q < r < s < v:
+                    flat += block
                     continue
             raise InvalidInputError(f"blocks must be 4 increasing element codes below {v}: {block!r}")
         if set(map(type, provenance)) - {str}:
             raise InvalidInputError("design provenance must be a list of strings")
-        if len(codes) != len(provenance):
+        if len(flat) != 4 * len(provenance):
             raise InvalidInputError("provenance must align with blocks")
         _validate_h0(group, h0)
+        try:
+            packed = array("I")
+            packed.fromlist(flat)
+        except OverflowError:  # codes past the array's range stay a list
+            packed = flat
+        self.__dict__.update(group=group, h0=h0, provenance=provenance, _packed=_Packed(packed))
 
     @classmethod
     def _from_orbits(cls, group: Group, h0: Element, tagged: list[tuple[Codes, str]]) -> Design:
@@ -235,7 +271,7 @@ class Design(Record):
         p; each block is met once per point of it and kept once."""
         through_zero = self.__dict__.get("_through_zero")
         if through_zero is None:
-            yield from zip(self.codes, self.provenance)
+            yield from zip(self._packed, self.provenance)
             return
         g = self.group
         for p in range(g.order):
@@ -256,22 +292,30 @@ class Design(Record):
     def provenance(self) -> tuple[str, ...]:
         return tuple(tag for _, tag in self._tagged_blocks())
 
+    @property
+    def _blocks(self) -> _Blocks:
+        """The blocks as 4-tuples of codes: read packed when the design was
+        made from codes, else :attr:`codes`."""
+        packed = self.__dict__.get("_packed")
+        return self.codes if packed is None else packed
+
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
         elements = self.group.elements()
-        return tuple(orbits._decoded(elements, block) for block in self.codes)
+        return tuple(orbits._decoded(elements, block) for block in self._blocks)
 
     @property
     def block_count(self) -> int:
         """The number of blocks, which a constructed design counts without
         rendering them: v blocks per block through 0, over its four points."""
         through_zero = self.__dict__.get("_through_zero")
-        return len(self.codes) if through_zero is None else self.group.order * len(through_zero) // 4
+        return len(self._packed) if through_zero is None else self.group.order * len(through_zero) // 4
 
     def verify(self) -> VerificationReport:
         """Triple coverage and reversibility of the blocks, as
-        :func:`verify_design` reports them."""
-        return _design_report(self.group, self.codes)
+        :func:`verify_design` reports them; a design made from codes is read
+        packed."""
+        return _design_report(self.group, self._blocks)
 
     def write_json(self, fh) -> None:
         """Write the design to ``fh`` as one compact JSON object with sorted
@@ -323,9 +367,11 @@ def design_from_json_dict(payload: dict) -> Design:
 
 _BLOCKS_HEAD = b'{"blocks":['
 _BLOCKS_TAIL = b'],"group":'
+_TAGS_HEAD = b',"provenance":['
 
-#: bytes of block text per chunk, at least, when the writer's layout is read;
-#: a chunk runs on to the end of the block it stops in
+#: bytes of block text, or of tag text, per chunk, at least, when the
+#: writer's layout is read; a chunk runs on to the end of the block, or of
+#: the tag, it stops in
 READ_CHUNK = 1 << 16
 
 
@@ -338,60 +384,97 @@ def _design_from_bytes(data: bytes) -> Design | None:
     the writer writes it: no space, no sign, no leading zero.  The blocks
     are never parsed as JSON.  They are read in chunks of about
     :data:`READ_CHUNK` bytes, each ending with a block, and each chunk is
-    mapped to codes before the next is read.  Its digits removed, a chunk
-    must be copies of one block skeleton (``[[,],[,],[,],[,]]`` for two
-    coordinates) joined by commas.  Inside its outer brackets, split at
-    ``],[`` and ``]],[[``, it must give four points per copy, and each
-    point's text (``0,3``) is looked up in a table of the v elements'
-    texts, so anything but an element misses: a digit outside the points
-    leaves a bracket in some point's text.  The rest of the document is
-    parsed as JSON, and equal tags are kept as one object.  :class:`Design`
-    is the one check of what is read: the codes, the tags and h0.  Every
-    other input gets None, and the caller reads it as JSON, which names its
-    fault; a design read here is the one that path would build."""
+    mapped to codes as :class:`Design` reads it, which packs them.  Its
+    digits removed, a chunk must be copies of one block skeleton
+    (``[[,],[,],[,],[,]]`` for two coordinates) joined by commas.  Inside
+    its outer brackets, split at ``],[`` and ``]],[[``, it must give four
+    points per copy, and each point's text (``0,3``) is looked up in a table
+    of the v elements' texts, so anything but an element misses: a digit
+    outside the points leaves a bracket in some point's text.  ``group`` and
+    ``h0`` are parsed as JSON, and the tags in pieces (see :func:`_read_tags`),
+    equal tags kept as one object.  :class:`Design` is the one check of what
+    is read: the codes, the tags and h0.  Every other input gets None, and
+    the caller reads it as JSON, which names its fault; a design read here
+    is the one that path would build."""
     if not data.startswith(_BLOCKS_HEAD):
         return None
     end = data.find(_BLOCKS_TAIL)
     if end < 0:
         return None
+    tags = data.find(_TAGS_HEAD, end)
+    if tags < 0:
+        return None
     try:
         # decoded as strictly as a text-mode read, so no byte the fallback
-        # refuses is read here
-        tail = json.loads('{"group":' + data[end + len(_BLOCKS_TAIL) :].decode("utf-8"), object_pairs_hook=list)
-        (group_key, factors), (h0_key, h0), (provenance_key, provenance) = tail
-        if (group_key, h0_key, provenance_key) != ("group", "h0", "provenance") or not (
-            type(factors) is type(h0) is type(provenance) is list and factors == sorted(factors)
+        # refuses is read here.  A key "provenance" nested in group or h0
+        # leaves a bracket open, which does not parse
+        head = '{"group":' + data[end + len(_BLOCKS_TAIL) : tags].decode("utf-8") + "}"
+        (group_key, factors), (h0_key, h0) = json.loads(head, object_pairs_hook=list)
+        if (group_key, h0_key) != ("group", "h0") or not (
+            type(factors) is type(h0) is list and factors == sorted(factors)
         ):
             return None
-        # a design has few distinct tags, each repeated over an orbit.  No
-        # string equals a non-string, so sharing swaps no string tag for a
-        # tag of another type, which Design refuses either way
-        shared = dict(zip(provenance, provenance))
-        provenance = tuple(map(shared.__getitem__, provenance))
-        # the parsed list of tags is freed before the blocks are decoded
-        del tail, shared
+        provenance = _read_tags(data, tags + len(_TAGS_HEAD))
+        if provenance is None:
+            return None
         g = make_group(factors)
-        point = b"[" + b"," * (len(g.factors) - 1) + b"]"
-        unit = b"[" + b",".join([point] * 4) + b"]"
-        table = {_dumps(x)[1:-1].encode(): code for code, x in enumerate(g.elements())}
-        codes: list[Codes] = []
-        start = len(_BLOCKS_HEAD)
-        while start < end:
-            cut = data.find(b"]],[[", start + READ_CHUNK, end)
-            cut = end if cut < 0 else cut + 2
-            chunk = data[start:cut]
-            skeleton = chunk.translate(None, b"0123456789")
-            units = (len(skeleton) + 1) // (len(unit) + 1)
-            points = chunk[2:-2].replace(b"]],[[", b"],[").split(b"],[")
-            if skeleton != b",".join([unit] * units) or len(points) != 4 * units:
-                return None
-            # a point that is no element reads as None, which Design refuses
-            quads = map(table.get, points)
-            codes += zip(quads, quads, quads, quads)
-            start = cut + 1
-        return Design(group=g, h0=tuple(h0), codes=tuple(codes), provenance=provenance)
+        blocks = chain.from_iterable(_read_blocks(data, end, g))
+        return Design(group=g, h0=tuple(h0), codes=blocks, provenance=provenance)
     except (KohlerSqsError, ValueError, TypeError, RecursionError):
         return None
+
+
+def _read_tags(data: bytes, start: int) -> tuple | None:
+    """The tags of the provenance array that opens before ``data[start]``
+    and closes at the end of ``data``, but for ``}`` and JSON whitespace; or
+    None when the text holds a backslash or does not end so.
+
+    The text is cut into pieces of about :data:`READ_CHUNK` bytes, each cut
+    made after the first quote of a ``","``, and each piece is parsed as a
+    JSON list.  With no backslash, every quote opens or closes a string, in
+    turn: a cut after a quote that opens one leaves that string unterminated,
+    so a piece that parses was cut between two tags, and the pieces' tags
+    are those of the whole array.  A piece that does not parse raises
+    ValueError.  Equal tags are kept as one object, shared through one dict
+    as the pieces are read; no string equals a non-string, so sharing swaps
+    no string tag for a tag of another type, which Design refuses either
+    way."""
+    close = data.rfind(b"]", start)
+    # JSON whitespace is these four bytes
+    if close < 0 or data[close + 1 :].strip(b" \t\n\r") != b"}" or data.find(b"\\", start, close) >= 0:
+        return None
+    shared: dict = {}
+    tags: list = []
+    while start < close:
+        cut = data.find(b'","', start + READ_CHUNK, close)
+        stop = close if cut < 0 else cut + 1
+        piece = json.loads("[" + data[start:stop].decode("utf-8") + "]")
+        tags += map(shared.setdefault, piece, piece)
+        start = stop + 1
+    return tuple(tags)
+
+
+def _read_blocks(data: bytes, end: int, g: Group) -> Iterator[Iterator[Codes]]:
+    """The blocks written in ``data`` before ``end`` as 4-tuples of codes,
+    one iterator per chunk (see :func:`_design_from_bytes`); a point that is
+    no element reads as None.  A chunk that is not copies of the block
+    skeleton raises ValueError."""
+    point = b"[" + b"," * (len(g.factors) - 1) + b"]"
+    unit = b"[" + b",".join([point] * 4) + b"]"
+    table = {_dumps(x)[1:-1].encode(): code for code, x in enumerate(g.elements())}
+    start = len(_BLOCKS_HEAD)
+    while start < end:
+        cut = data.find(b"]],[[", start + READ_CHUNK, end)
+        cut = end if cut < 0 else cut + 2
+        chunk = data[start:cut]
+        skeleton = chunk.translate(None, b"0123456789")
+        units = (len(skeleton) + 1) // (len(unit) + 1)
+        points = chunk[2:-2].replace(b"]],[[", b"],[").split(b"],[")
+        if skeleton != b",".join([unit] * units) or len(points) != 4 * units:
+            raise ValueError("not the writer's layout")
+        quads = map(table.get, points)
+        yield zip(quads, quads, quads, quads)
+        start = cut + 1
 
 
 def _encode_blocks(g: Group, blocks) -> tuple[Codes, ...]:
@@ -487,7 +570,7 @@ def verify_design(g: Group, blocks) -> VerificationReport:
     return _design_report(g, _encode_blocks(g, blocks))
 
 
-def _design_report(g: Group, codes: tuple[Codes, ...]) -> VerificationReport:
+def _design_report(g: Group, codes: _Blocks) -> VerificationReport:
     """The report on ``codes``.  Distinct blocks with no image missing form a
     set invariant under translations and negation, which preserve symmetry,
     and each block has a translate through 0: the set is a reversible SQS
@@ -539,36 +622,54 @@ def _orbits_form_sqs(g: Group, bases: list[Codes], through_zero: list[Codes]) ->
     return not orbits._asymmetric(g, bases) and _covers_pairs_once(g.order, through_zero)
 
 
-def _missing_images(g: Group, codes: tuple[Codes, ...]) -> tuple[bool, list[tuple[str, set[Codes]]]]:
+def _missing_images(g: Group, codes: _Blocks) -> tuple[bool, list[tuple[str, set[Codes]]]]:
     """Whether the blocks are distinct, and per coordinate generator and
-    negation the blocks whose image under that map is missing.  A block's
-    mask ``bit[p] | bit[q] | bit[r] | bit[s]``, ``bit[x] = 1 << x``, is the
-    same for four codes in any order, so an image needs no sort."""
-    bit = [1 << x for x in range(g.order)]
-    present = {bit[p] | bit[q] | bit[r] | bit[s] for p, q, r, s in codes}
-    images = []
+    negation the blocks whose image under that map is missing.  A block is
+    looked up by its key ``((p*v + q)*v + r)*v + s``, which packs its sorted
+    codes into one int, summed from tables of ``x*v``, ``x*v**2`` and
+    ``x*v**3``; an image's four codes are sorted first, by a network of five
+    comparisons."""
+    v = g.order
+    v1 = [x * v for x in range(v)]
+    v2 = [x * v for x in v1]
+    v3 = [x * v for x in v2]
+    present = {v3[p] + v2[q] + v1[r] + s for p, q, r, s in codes}
+    rows = []
     for i in range(len(g.factors)):
         gen = [0] * len(g.factors)
         gen[i] = 1
-        row = g.translation(g.encode(tuple(gen)))
-        images.append((f"translate+{tuple(gen)}", [bit[y] for y in row]))
-    images.append(("negate", [bit[y] for y in g.neg_table]))
-    missing = [
-        (label, {(p, q, r, s) for p, q, r, s in codes if image[p] | image[q] | image[r] | image[s] not in present})
-        for label, image in images
-    ]
+        rows.append((f"translate+{tuple(gen)}", g.translation(g.encode(tuple(gen)))))
+    rows.append(("negate", g.neg_table))
+    missing = []
+    for label, row in rows:
+        lost = set()
+        for p, q, r, s in codes:
+            a, b, c, d = row[p], row[q], row[r], row[s]
+            if a > b:
+                a, b = b, a
+            if c > d:
+                c, d = d, c
+            if a > c:
+                a, c = c, a
+            if b > d:
+                b, d = d, b
+            if b > c:
+                b, c = c, b
+            if v3[a] + v2[b] + v1[c] + d not in present:
+                lost.add((p, q, r, s))
+        missing.append((label, lost))
     return len(present) == len(codes), missing
 
 
-def _coverage_violations(g: Group, codes: tuple[Codes, ...]) -> tuple[tuple[Subset, int], ...]:
+def _coverage_violations(g: Group, codes: _Blocks) -> tuple[tuple[Subset, int], ...]:
     """Triples covered other than once, with their counts, in lex order.
 
     Each triple x < y < z of codes has one count, at its lexicographic rank
     ``off[x*v + y] + z`` in a flat array.  The cells of one pair x < y form a
     run, compared whole with a run of ones; only a run that differs is read
     cell by cell."""
-    # imported here, as only a listing needs it: loading the extension would
-    # add to the peak memory of every command
+    # imported here, as in Design: loading the extension would add to the
+    # peak memory of every command
     from array import array
 
     v = g.order
@@ -601,7 +702,7 @@ def _coverage_violations(g: Group, codes: tuple[Codes, ...]) -> tuple[tuple[Subs
 
 
 def _reversibility_violations(
-    g: Group, codes: tuple[Codes, ...], missing: list[tuple[str, set[Codes]]]
+    g: Group, codes: _Blocks, missing: list[tuple[str, set[Codes]]]
 ) -> tuple[tuple[Block, ...], tuple[tuple[Block, str], ...]]:
     """Asymmetric blocks, and blocks whose image under a map is missing (as
     :func:`_missing_images` lists them), both in lex order of the distinct

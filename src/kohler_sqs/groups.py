@@ -246,12 +246,16 @@ class Group(Record):
 
     @cached_property
     def _fold(self) -> tuple[int, ...]:
+        # the mixed-radix build of _mixed_radix_table, but every partial sum
+        # is a code, so each is read from one list of the v codes: the 3^k
+        # entries on Z2^k share v int objects instead of holding one each
         self.check_capacity()
-        return tuple(
-            _mixed_radix_table(
-                [[c % d * s for c in range(2 * d - 1)] for d, s in zip(self.factors, self._strides)]
-            )
-        )
+        codes = list(range(self.order))
+        columns = [[c % d * s for c in range(2 * d - 1)] for d, s in zip(self.factors, self._strides)]
+        table = columns[-1]
+        for column in reversed(columns[:-1]):
+            table = [codes[high + low] for high in column for low in table]
+        return tuple(table)
 
     # -- enumeration and subset sizes ---------------------------------------
 
@@ -308,7 +312,7 @@ def make_group(factors: list[int] | tuple[int, ...]) -> Group:
     return Group(tuple(factors))
 
 
-_SPEC_TOKEN = re.compile(r"^z?(\d+)$", re.IGNORECASE)
+_SPEC_TOKEN = re.compile(r"z?([0-9]+)", re.IGNORECASE)
 
 
 def parse_group_spec(spec: str) -> Group:
@@ -323,7 +327,7 @@ def parse_group_spec(spec: str) -> Group:
     tokens = re.split(r"[x,]", cleaned, flags=re.IGNORECASE)
     factors = []
     for token in tokens:
-        m = _SPEC_TOKEN.match(token)
+        m = _SPEC_TOKEN.fullmatch(token)
         if not m:
             raise InvalidSpecError(f"cannot parse group spec token {token!r} in {spec!r}")
         digits = m.group(1)

@@ -185,6 +185,23 @@ def test_verify_of_a_listing_file_stays_in_bounded_memory(tmp_path, capsys):
     assert peak < 12_000_000, peak
 
 
+def test_verify_of_a_valid_file_stays_in_bounded_memory(tmp_path, capsys):
+    # the 40,425 Z4xZ25 blocks in the writer's layout, read to one packed
+    # array of codes, with the tags read in pieces, and checked by packed
+    # image keys: about 4.5 MB at the peak.  A 4-tuple per block, the tags
+    # parsed as one list and a set of 100-bit masks peaked near 7.1 MB
+    path = tmp_path / "design.json"
+    path.write_text(_written(engine.construct_design(make_group([4, 25]))))
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()) == VERIFY_OK
+    assert peak < 5_500_000, peak
+
+
 class _NullSink:
     """A text sink that keeps nothing it is given."""
 
@@ -246,6 +263,16 @@ NON_STRING_TAGS = {
     "null-tag": (b'"B0"', b"null"),
     "list-tag": (b'"B0"', b'["B0"]'),
     "object-tag": (b'"B0"', b'{"B0":0}'),
+    # a "," inside the object, where the tags may be cut into pieces
+    "object-tag-with-a-cut": (b'"B0"', b'{"a":"b","c":1}'),
+}
+
+# tags in the writer's layout that hold a valid design, and that a cut at
+# a "," or a backslash could misread; the reader reads none with a backslash
+VALID_TAG_EDITS = {
+    "comma-tag": (b'"B0"', b'","'),
+    "quote-tag": (b'"B0"', b'"B\\"0"'),
+    "backslash-tag": (b'"B0"', b'"B\\\\0"'),
 }
 
 
@@ -291,6 +318,13 @@ def _deviations(data: bytes) -> dict[str, bytes]:
         "not-utf8-tag": data.replace(b'"B0"', b'"B\xff"', 1),
         "surrogate-tag": data.replace(b'"B0"', b'"B\xed\xa0\x80"', 1),
         **{name: data.replace(old, new, 1) for name, (old, new) in NON_STRING_TAGS.items()},
+        **{name: data.replace(old, new, 1) for name, (old, new) in VALID_TAG_EDITS.items()},
+        "spaces-in-provenance": body
+        + b'],"group":'
+        + tail[:provenance]
+        + tail[provenance:].replace(b'","', b'" , "').replace(b'["', b'[ "', 1).replace(b'"]', b'"\t]', 1),
+        # the last tag is read in the last piece when the tags are cut
+        "non-string-last-tag": data[: data.rindex(b',"')] + b",7]}\n",
         # the block's ]],[[ is where a small chunk is cut
         "nested-points": data.replace(
             b"[[0,0,0],[0,0,1],[0,0,2],[0,1,1]]", b"[[0,0,0],[[0,0,1]],[[0,0,2]],[0,1,1]]", 1
@@ -341,8 +375,13 @@ def test_reading_the_writers_layout_changes_no_outcome(tmp_path, capsys, monkeyp
         outcome = check(edited)
         if name == "nested-points":
             assert outcome[:2] == (1, "") and outcome[2].startswith("error: "), outcome
-        if name in NON_STRING_TAGS:
+        if name in NON_STRING_TAGS or name == "non-string-last-tag":
             assert outcome == (1, "", "error: design provenance must be a list of strings\n"), (name, outcome)
+        if name in VALID_TAG_EDITS or name == "spaces-in-provenance":
+            code, out, err = outcome
+            assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == (*VERIFY_OK, ""), name
+        if b"\\" in edited:
+            assert engine._design_from_bytes(edited) is None, name
     for spec, edits in STRAY_DIGITS.items():
         data = constructed[spec].encode("utf-8")
         for block, edited_block in edits:
@@ -383,6 +422,25 @@ def test_chunk_boundaries_change_no_outcome(tmp_path, capsys, monkeypatch, read_
     test_single_byte_edits_change_no_outcome(tmp_path, capsys)
     # last: it lowers the capacity limit
     test_reading_the_writers_layout_changes_no_outcome(tmp_path, capsys, monkeypatch)
+
+
+def test_tags_cut_anywhere_read_as_json_reads_them(monkeypatch):
+    # tags holding "," and spaces, read in pieces of every size up to the
+    # whole array: a cut after a quote that opens a tag leaves that tag
+    # unterminated, so the reader refuses the bytes and never misreads them
+    g = make_group([10])
+    design = engine.construct_design(g)
+    tags = [",", "B0", ", ,", ",,", "x"]
+    provenance = tuple(tags[i % len(tags)] for i in range(design.block_count))
+    data = _written(engine.Design(g, design.h0, design.codes, provenance)).encode("utf-8")
+    expected = engine.design_from_json_dict(json.loads(data))
+    outcomes = set()
+    for read_chunk in range(1, len(data) - data.index(b'"provenance"')):
+        monkeypatch.setattr(engine, "READ_CHUNK", read_chunk)
+        read = engine._design_from_bytes(data)
+        assert read is None or read == expected, read_chunk
+        outcomes.add(read is None)
+    assert outcomes == {True, False}
 
 
 def test_verify_reads_a_fifo_once(tmp_path):
@@ -728,6 +786,15 @@ def test_h0_override_on_construct(capsys):
     assert json.loads(out)["h0"] == [1, 0, 0]
     code, _, _ = run_cli(capsys, "construct", "--group", "10", "--h0", "3")
     assert code == 1
+
+
+@pytest.mark.parametrize("h0", ["0_5", "\u0665", "+5", "5\n"])
+def test_h0_reads_ascii_digits_only(capsys, h0):
+    # int() would read each of these as 5, the involution of Z10
+    for command in ("construct", "count"):
+        code, out, err = run_cli(capsys, command, "--group", "10", "--h0", h0)
+        assert (code, out) == (1, "") and err == f"error: cannot parse h0 {h0!r}: expected comma-separated residues\n"
+    assert run_cli(capsys, "count", "--group", "10", "--h0", " 5")[0] == 0
 
 
 def test_output_is_byte_identical_across_processes():

@@ -610,6 +610,18 @@ def test_design_rejects_bad_codes(block):
         Design(group=Z10, h0=(5,), codes=(block,), provenance=("B0",))
 
 
+def test_design_takes_any_iterable_of_blocks_and_renders_its_codes():
+    codes = construct_design(Z10).codes
+    tags = ("B0",) * len(codes)
+    made = Design(Z10, (5,), iter(codes), tags)
+    assert made == Design(Z10, (5,), list(codes), tags) and made.codes == codes
+    assert made.block_count == len(codes) and made.blocks == tuple(tuple(map(Z10.decode, b)) for b in codes)
+    # codes past the range of the packed array's items are kept as they are
+    g = make_group([2, 1 << 32])
+    huge = Design(g, (1, 0), ((0, 1, 2, (1 << 32) + 1),), ("B0",))
+    assert huge.codes == ((0, 1, 2, (1 << 32) + 1),) and huge.block_count == 1
+
+
 def test_construction_encodes_no_block(monkeypatch):
     # blocks stay codes from B0 to the design: nothing is decoded and encoded back
     calls = _count_calls(monkeypatch, engine, "_encode_blocks")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -60,7 +61,9 @@ def test_parse_group_spec(spec, factors):
     assert parse_group_spec(spec).factors == factors
 
 
-@pytest.mark.parametrize("spec", ["", "Z", "4x", "a,b", "2;3"])
+# digits other than ASCII ones (Arabic-Indic, fullwidth), and a token that
+# ends in a newline
+@pytest.mark.parametrize("spec", ["", "Z", "4x", "a,b", "2;3", "\u0662,\u0662,\u0665", "Z\uff12", "2,2,5\n"])
 def test_parse_group_spec_rejects(spec):
     with pytest.raises(InvalidSpecError):
         parse_group_spec(spec)
@@ -224,3 +227,21 @@ def test_code_tables_honour_capacity(monkeypatch):
     monkeypatch.setenv(MAX_ORDER_ENV_VAR, "11000")
     assert g.encode((100, 100)) == 10200
     assert g.neg_table[1] == 100
+
+
+def test_pair_sum_table_shares_one_int_per_code():
+    # Z2^12 has a 3^12-entry pair-sum table over 4,096 codes; one int object
+    # per entry held 17.8 MB and peaked at 23.7 MB
+    g = make_group([2] * 12)
+    g._strides
+    tracemalloc.start()
+    try:
+        fold = g._fold
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fold) == 3**12 and len(set(map(id, fold))) <= g.order
+    assert [fold[g._spread[a] + g._spread[b]] for a in (0, 1, 4095) for b in (0, 2, 4095)] == [
+        a ^ b for a in (0, 1, 4095) for b in (0, 2, 4095)
+    ]
+    assert peak < 12_000_000, peak

@@ -123,8 +123,8 @@ def test_the_one_constructor_without_the_block_check_checks_orbits_first():
 SRC = Path(kohler_sqs.__file__).resolve().parent.parent
 
 # modules no command needs at start-up, each paid for by every command that
-# loads them: what the dataclasses module brings in, and array, which verify
-# imports only when it lists uncovered triples
+# loads them: what the dataclasses module brings in, and array, which only
+# verify imports
 UNNEEDED_AT_START_MODULES = ["dataclasses", "inspect", "ast", "dis", "tokenize", "array"]
 
 
@@ -139,6 +139,30 @@ def test_the_command_line_imports_no_module_it_does_not_need_at_start():
     script = "import sys, kohler_sqs.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     proc = _bare_python("-c", script, *UNNEEDED_AT_START_MODULES)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
+
+
+def test_only_verify_loads_array():
+    # array holds the codes of a design read from a file; a command that
+    # reads none never loads it, so its peak memory does not pay for it
+    script = (
+        "import contextlib, io, sys\n"
+        "from kohler_sqs import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, 'array' in sys.modules)\n"
+    )
+    for argv, code in (
+        ("construct --group 4,25", 0),
+        ("exists --group 2,2,25", 0),
+        ("exists --group 196", 2),
+        ("graph --stats --group 250", 0),
+        ("count --group 2,2,2,2,2,2", 0),
+    ):
+        proc = _bare_python("-c", script, *argv.split())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{code} False\n".encode(), b""), argv
+    sqs20 = SRC.parent / "bench" / "data" / "sqs20.json"
+    proc = _bare_python("-c", script, "verify", str(sqs20))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0 True\n", b"")
 
 
 def test_construct_and_verify_run_without_site_packages(tmp_path):

@@ -88,7 +88,11 @@ def test_positional_and_keyword_construction_agree(cls):
     for record in (by_position, by_keyword):
         assert type(record) is cls
         for name, value in zip(names, values):
-            assert getattr(record, name) is value
+            if (cls, name) == (Design, "codes"):
+                # a design packs its codes and renders them anew when read
+                assert getattr(record, name) == value
+            else:
+                assert getattr(record, name) is value
     assert by_position == by_keyword
     with pytest.raises(TypeError):
         cls(*values, None)

@@ -19,13 +19,12 @@ import argparse
 import gc
 import io
 import json
-import re
 import sys
 
 from . import engine, kohler
 from .engine import ConstructionFailure
 from .errors import InvalidInputError, KohlerSqsError
-from .groups import Element, Group, parse_group_spec
+from .groups import Element, Group, _ascii_int, parse_group_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,19 +58,13 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-_DIGITS = re.compile("[0-9]+")
-
-
 def _parse_h0(g: Group, raw: str | None) -> Element | None:
     if raw is None:
         return None
-    # ASCII digits, spaces around them allowed, as in a group spec: int()
-    # would also read a sign, an underscore and any Unicode digit
-    parts = [part.strip(" ") for part in raw.split(",")]
     try:
-        if not all(map(_DIGITS.fullmatch, parts)):
+        coords = tuple(map(_ascii_int, raw.split(",")))
+        if None in coords:
             raise ValueError(raw)
-        coords = tuple(map(int, parts))
     except ValueError as exc:  # also a coordinate past int()'s limit on digits
         raise InvalidInputError(
             f"cannot parse h0 {raw!r}: expected comma-separated residues"
@@ -110,27 +103,30 @@ def _read_design(path: str) -> engine.Design:
     design = engine._design_from_bytes(data)
     if design is not None:
         return design
+    # the parsed document is freed once the design is made from it; it holds
+    # no cycles, so the cyclic collector is paused until then (paused for
+    # the parse alone, it would walk the document while the design is made)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        payload = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        # the bytes are dropped once decoded, and the text once parsed
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        del data
+        payload = json.loads(text)
+        del text
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integer
         # literals past int()'s digit limit; RecursionError, deep nesting
         raise InvalidInputError(f"cannot read {path} as JSON: {exc}") from exc
-    return engine.design_from_json_dict(payload)
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    # whatever a read builds is freed once the design is made, before
-    # verifying; it holds no cycles, so the cyclic collector is paused until
-    # then (paused for the parse alone, it would walk the parsed document
-    # while the design is made)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        design = _read_design(args.design)
+    else:
+        return engine.design_from_json_dict(payload)
     finally:
         if enabled:
             gc.enable()
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    design = _read_design(args.design)
     report = design.verify()
     _emit(report.to_json_dict())
     return EXIT_OK if report.is_sqs and report.is_reversible else EXIT_VERIFY_FAILED

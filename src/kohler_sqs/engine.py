@@ -182,14 +182,22 @@ def _dumps(value) -> str:
 
 
 class _Packed:
-    """The blocks of a flat sequence of codes, four per block: each iteration
-    reads the codes afresh and yields each block as a 4-tuple, so the tuples
-    of all the blocks never exist at once."""
+    """The one block store: the codes of the blocks, four per block, packed
+    in one ``array("I")``.  Each iteration reads the codes afresh and yields
+    each block as a 4-tuple, so the tuples of all the blocks never exist at
+    once."""
 
     __slots__ = ("flat",)
 
-    def __init__(self, flat) -> None:
-        self.flat = flat
+    def __init__(self, flat: Iterable[int]) -> None:
+        # imported here, as construct and exists build no store: loading the
+        # extension would add to their peak memory
+        from array import array
+
+        try:
+            self.flat = array("I", flat)
+        except OverflowError:  # codes past the array's range stay a list
+            self.flat = flat
 
     def __len__(self) -> int:
         return len(self.flat) // 4
@@ -199,33 +207,24 @@ class _Packed:
         return zip(codes, codes, codes, codes)
 
 
-#: blocks as 4-tuples of codes, packed or not, which the verifier reads more
-#: than once
-_Blocks = _Packed | tuple[Codes, ...]
-
-
 class Design(Record):
     """An assembled block set with per-block provenance.
 
     ``codes[i]`` is block i as a sorted 4-tuple of element codes, and
     ``provenance[i]`` is ``"B0"`` or ``"factor:<edge-index>"``, an index into
-    the Koehler graph's edges.  A design made from codes checks them, the
-    tags and ``h0``, and holds the codes packed, four per block, in one
-    ``array("I")``; ``codes`` renders them as tuples on first read, and
-    :meth:`verify` reads them packed.  A constructed design holds only its
-    blocks through 0, each with its base's tag, its orbits checked instead:
-    its blocks are rendered from those in lexicographic order on demand, and
-    ``codes`` and ``provenance`` on first read.  :attr:`blocks` decodes the
-    codes to coordinate tuples on first read.
+    the Koehler graph's edges.  The blocks are read from one store, a
+    :class:`_Packed`.  A design made from codes checks them, the tags and
+    ``h0``, and packs the codes as it is made.  A constructed design holds
+    only its blocks through 0, each with its base's tag, its orbits checked
+    instead: its blocks are rendered from those in lexicographic order on
+    demand, into the store once it is read, and ``provenance`` on first
+    read.  ``codes`` renders the store as tuples, and :attr:`blocks` decodes
+    it to coordinate tuples, on first read; :meth:`verify` reads it packed.
     """
 
     _fields = ("group", "h0", "codes", "provenance")
 
     def __init__(self, group: Group, h0: Element, codes: Iterable[Codes], provenance: tuple[str, ...]) -> None:
-        # imported here, as only a design made from codes needs it: loading
-        # the extension would add to the peak memory of every command
-        from array import array
-
         v = group.order
         flat: list[int] = []
         for block in codes:
@@ -240,12 +239,7 @@ class Design(Record):
         if len(flat) != 4 * len(provenance):
             raise InvalidInputError("provenance must align with blocks")
         _validate_h0(group, h0)
-        try:
-            packed = array("I")
-            packed.fromlist(flat)
-        except OverflowError:  # codes past the array's range stay a list
-            packed = flat
-        self.__dict__.update(group=group, h0=h0, provenance=provenance, _packed=_Packed(packed))
+        self.__dict__.update(group=group, h0=h0, provenance=provenance, _packed=_Packed(flat))
 
     @classmethod
     def _from_orbits(cls, group: Group, h0: Element, tagged: list[tuple[Codes, str]]) -> Design:
@@ -285,24 +279,25 @@ class Design(Record):
             yield from kept
 
     @cached_property
+    def _packed(self) -> _Packed:
+        """The store of a constructed design, which renders its blocks into
+        it once; a design made from codes sets it as it is made.  The codes
+        rendered are below v, so they fit the array, or the rows of v codes
+        that render them could not have been built."""
+        return _Packed(chain.from_iterable(block for block, _ in self._tagged_blocks()))
+
+    @cached_property
     def codes(self) -> tuple[Codes, ...]:
-        return tuple(block for block, _ in self._tagged_blocks())
+        return tuple(self._packed)
 
     @cached_property
     def provenance(self) -> tuple[str, ...]:
         return tuple(tag for _, tag in self._tagged_blocks())
 
-    @property
-    def _blocks(self) -> _Blocks:
-        """The blocks as 4-tuples of codes: read packed when the design was
-        made from codes, else :attr:`codes`."""
-        packed = self.__dict__.get("_packed")
-        return self.codes if packed is None else packed
-
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
         elements = self.group.elements()
-        return tuple(orbits._decoded(elements, block) for block in self._blocks)
+        return tuple(orbits._decoded(elements, block) for block in self._packed)
 
     @property
     def block_count(self) -> int:
@@ -313,9 +308,8 @@ class Design(Record):
 
     def verify(self) -> VerificationReport:
         """Triple coverage and reversibility of the blocks, as
-        :func:`verify_design` reports them; a design made from codes is read
-        packed."""
-        return _design_report(self.group, self._blocks)
+        :func:`verify_design` reports them, read from the store."""
+        return _design_report(self.group, self._packed)
 
     def write_json(self, fh) -> None:
         """Write the design to ``fh`` as one compact JSON object with sorted
@@ -354,8 +348,10 @@ def design_from_json_dict(payload: dict) -> Design:
             )
         g = make_group(factors)
         h0 = _validate_h0(g, tuple(payload["h0"]))
-        blocks = (map(tuple, block) for block in payload["blocks"])
-        codes = _encode_blocks(g, blocks)
+        blocks = payload["blocks"]
+        if type(blocks) is not list:
+            raise InvalidInputError("design blocks must be a list of blocks")
+        codes = _encode_blocks(g, (map(tuple, block) for block in blocks))
         # checked after the blocks, so that a bad block is named first; Design checks the tags
         provenance = payload["provenance"]
         if type(provenance) is not list:
@@ -477,14 +473,14 @@ def _read_blocks(data: bytes, end: int, g: Group) -> Iterator[Iterator[Codes]]:
         start = cut + 1
 
 
-def _encode_blocks(g: Group, blocks) -> tuple[Codes, ...]:
-    """Validate each block and return it as a sorted 4-tuple of codes.
+def _encode_blocks(g: Group, blocks) -> _Packed:
+    """Validate each block and pack its sorted codes.
 
     ``blocks`` is read one block at a time, each block as a tuple of four
     points that :meth:`Group.encode` reads, which raises the error; every
     earlier block passed, so the error names the first bad block of the
     input."""
-    out: list[Codes] = []
+    flat: list[int] = []
     for block in blocks:
         b = tuple(block)  # a block or point that is not iterable raises TypeError here
         if len(b) != 4:
@@ -492,8 +488,8 @@ def _encode_blocks(g: Group, blocks) -> tuple[Codes, ...]:
         p, q, r, s = sorted(map(g.encode, b))
         if not p < q < r < s:
             raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
-        out.append((p, q, r, s))
-    return tuple(out)
+        flat += (p, q, r, s)
+    return _Packed(flat)
 
 
 def construct_design(g: Group, h0: Element | None = None) -> Design:
@@ -570,7 +566,7 @@ def verify_design(g: Group, blocks) -> VerificationReport:
     return _design_report(g, _encode_blocks(g, blocks))
 
 
-def _design_report(g: Group, codes: _Blocks) -> VerificationReport:
+def _design_report(g: Group, codes: _Packed) -> VerificationReport:
     """The report on ``codes``.  Distinct blocks with no image missing form a
     set invariant under translations and negation, which preserve symmetry,
     and each block has a translate through 0: the set is a reversible SQS
@@ -582,7 +578,7 @@ def _design_report(g: Group, codes: _Blocks) -> VerificationReport:
     distinct, missing = _missing_images(g, codes)
     if distinct and not any(blocks for _, blocks in missing):
         through_zero = [b for b in codes if b[0] == 0]
-        if not orbits._asymmetric(g, through_zero) and _covers_pairs_once(g.order, through_zero):
+        if _orbits_form_sqs(g, through_zero, through_zero):
             return VerificationReport(is_sqs=True, is_reversible=True)
     coverage = _coverage_violations(g, codes)
     asymmetric, violations = _reversibility_violations(g, codes, missing)
@@ -622,7 +618,7 @@ def _orbits_form_sqs(g: Group, bases: list[Codes], through_zero: list[Codes]) ->
     return not orbits._asymmetric(g, bases) and _covers_pairs_once(g.order, through_zero)
 
 
-def _missing_images(g: Group, codes: _Blocks) -> tuple[bool, list[tuple[str, set[Codes]]]]:
+def _missing_images(g: Group, codes: _Packed) -> tuple[bool, list[tuple[str, set[Codes]]]]:
     """Whether the blocks are distinct, and per coordinate generator and
     negation the blocks whose image under that map is missing.  A block is
     looked up by its key ``((p*v + q)*v + r)*v + s``, which packs its sorted
@@ -661,14 +657,14 @@ def _missing_images(g: Group, codes: _Blocks) -> tuple[bool, list[tuple[str, set
     return len(present) == len(codes), missing
 
 
-def _coverage_violations(g: Group, codes: _Blocks) -> tuple[tuple[Subset, int], ...]:
+def _coverage_violations(g: Group, codes: _Packed) -> tuple[tuple[Subset, int], ...]:
     """Triples covered other than once, with their counts, in lex order.
 
     Each triple x < y < z of codes has one count, at its lexicographic rank
     ``off[x*v + y] + z`` in a flat array.  The cells of one pair x < y form a
     run, compared whole with a run of ones; only a run that differs is read
     cell by cell."""
-    # imported here, as in Design: loading the extension would add to the
+    # imported here, as in _Packed: loading the extension would add to the
     # peak memory of every command
     from array import array
 
@@ -702,7 +698,7 @@ def _coverage_violations(g: Group, codes: _Blocks) -> tuple[tuple[Subset, int], 
 
 
 def _reversibility_violations(
-    g: Group, codes: _Blocks, missing: list[tuple[str, set[Codes]]]
+    g: Group, codes: _Packed, missing: list[tuple[str, set[Codes]]]
 ) -> tuple[tuple[Block, ...], tuple[tuple[Block, str], ...]]:
     """Asymmetric blocks, and blocks whose image under a map is missing (as
     :func:`_missing_images` lists them), both in lex order of the distinct

@@ -50,12 +50,22 @@ def max_order_limit() -> int:
     if raw is None:
         return DEFAULT_MAX_ORDER
     try:
-        value = int(raw)
-    except ValueError as exc:
+        value = _ascii_int(raw)
+        if value is None:
+            raise ValueError(raw)
+    except ValueError as exc:  # also past int()'s limit on digits
         raise InvalidSpecError(f"{MAX_ORDER_ENV_VAR} must be an integer, got {raw!r}") from exc
     if value < 1:
         raise InvalidSpecError(f"{MAX_ORDER_ENV_VAR} must be positive, got {value}")
     return value
+
+
+def _ascii_int(text: str) -> int | None:
+    """The integer that ``text`` writes in ASCII digits, spaces around them
+    allowed, else None; ``int()`` would also read a sign, an underscore and
+    any Unicode digit.  Raises ValueError past ``int()``'s limit on digits."""
+    digits = text.strip(" ")
+    return int(digits) if digits.isascii() and digits.isdigit() else None
 
 
 def _order_text(n: int) -> str:
@@ -312,9 +322,6 @@ def make_group(factors: list[int] | tuple[int, ...]) -> Group:
     return Group(tuple(factors))
 
 
-_SPEC_TOKEN = re.compile(r"z?([0-9]+)", re.IGNORECASE)
-
-
 def parse_group_spec(spec: str) -> Group:
     """Parse a CLI group spec such as ``2,2,5`` or ``Z4xZ4``.
 
@@ -327,15 +334,15 @@ def parse_group_spec(spec: str) -> Group:
     tokens = re.split(r"[x,]", cleaned, flags=re.IGNORECASE)
     factors = []
     for token in tokens:
-        m = _SPEC_TOKEN.fullmatch(token)
-        if not m:
-            raise InvalidSpecError(f"cannot parse group spec token {token!r} in {spec!r}")
-        digits = m.group(1)
+        digits = token[1:] if token[:1] in ("z", "Z") else token
         try:
-            factors.append(int(digits))
+            factor = _ascii_int(digits)
         except ValueError as exc:  # past the interpreter's limit on digits converted
             raise InvalidSpecError(
                 f"a cyclic factor in the group spec has {len(digits)} digits, too many to read"
             ) from exc
+        if factor is None:
+            raise InvalidSpecError(f"cannot parse group spec token {token!r} in {spec!r}")
+        factors.append(factor)
     return make_group(factors)
 

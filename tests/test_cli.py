@@ -202,6 +202,23 @@ def test_verify_of_a_valid_file_stays_in_bounded_memory(tmp_path, capsys):
     assert peak < 5_500_000, peak
 
 
+def test_verify_of_an_indented_file_stays_in_bounded_memory(tmp_path, capsys):
+    # the Z4xZ25 design dumped with indent=1 is read by the JSON path: the
+    # file's bytes are dropped before the parse, and the blocks are packed
+    # as they are encoded, about 26 MB at the peak.  Holding the bytes
+    # through the parse and a 4-tuple per encoded block peaked near 31.6 MB
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(json.loads(_written(engine.construct_design(make_group([4, 25])))), indent=1))
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()) == VERIFY_OK
+    assert peak < 28_000_000, peak
+
+
 class _NullSink:
     """A text sink that keeps nothing it is given."""
 
@@ -651,6 +668,14 @@ def test_verify_provenance_must_be_a_list_of_strings_exit_1(tmp_path, capsys, pr
     ):
         path.write_text(json.dumps(dict(payload, blocks=blocks)))
         assert run_cli(capsys, "verify", str(path)) == (1, "", message)
+
+
+@pytest.mark.parametrize("blocks", ["{}", '""'])
+def test_verify_blocks_must_be_a_list_exit_1(tmp_path, capsys, blocks):
+    # read as no blocks, these listed every triple of Z10 as missing
+    path = tmp_path / "design.json"
+    path.write_text('{"blocks":' + blocks + ',"group":[10],"h0":[5],"provenance":[]}')
+    assert run_cli(capsys, "verify", str(path)) == (1, "", "error: design blocks must be a list of blocks\n")
 
 
 @pytest.mark.parametrize(

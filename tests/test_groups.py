@@ -144,9 +144,11 @@ def test_capacity_limit(monkeypatch):
     monkeypatch.setenv(MAX_ORDER_ENV_VAR, "11000")
     assert max_order_limit() == 11000
     assert len(g.elements()) == 10201
-    monkeypatch.setenv(MAX_ORDER_ENV_VAR, "junk")
-    with pytest.raises(InvalidSpecError):
-        max_order_limit()
+    # int() would read the last three as 50, 10 and 50
+    for junk in ("junk", "\u0665\u0660", "1_0", "+50"):
+        monkeypatch.setenv(MAX_ORDER_ENV_VAR, junk)
+        with pytest.raises(InvalidSpecError):
+            max_order_limit()
 
 
 def test_group_axioms_on_samples():

@@ -186,3 +186,14 @@ def test_the_readme_claims_table_names_existing_tests():
         tree = ast.parse((root / path).read_text(), path)
         defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         assert name.startswith("test_") and name in defined, f"{path}::{name}"
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10; no module may use
+    # syntax that 3.10 does not parse
+    project = (SRC.parent / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in project
+    paths = sorted(Path(kohler_sqs.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -127,9 +127,10 @@ def build_B0(g: Group, h0: Element) -> frozenset[Block]:
 
 
 def count_B0(g: Group, h0: Element) -> int:
-    """|B0| counted orbit by orbit: the forced orbits are distinct, so their
-    sizes sum to the number of blocks, without expanding any of them."""
-    return sum(orbits._orbit_size(g, base) for base in _b0_bases(g, h0))
+    """|B0| from its blocks through 0, the list :meth:`Design._from_orbits`
+    checks (see :func:`_through_zero`), without expanding any orbit."""
+    through_zero = _through_zero(g, [(base, B0_TAG) for base in _b0_bases(g, h0)])
+    return orbits._family_size(g.order, len(through_zero), 4)
 
 
 def count_B0_formula(g: Group) -> int:
@@ -164,10 +165,7 @@ def count_special_triples(g: Group) -> int:
     v = g.order
     neg, double = g.neg_table, g.double_table
     through_zero = sum(not orbits._in_T(neg, double, a, b) for a in range(1, v) for b in range(a + 1, v))
-    count, remainder = divmod(v * through_zero, 3)
-    if remainder:
-        raise InternalInconsistencyError(f"special-triple count is not integral for {g}")
-    return count
+    return orbits._family_size(v, through_zero, 3)
 
 
 #: blocks (and provenance tags) per write when a design is written as JSON;
@@ -224,7 +222,7 @@ class Design(Record):
 
     _fields = ("group", "h0", "codes", "provenance")
 
-    def __init__(self, group: Group, h0: Element, codes: Iterable[Codes], provenance: tuple[str, ...]) -> None:
+    def __init__(self, group: Group, h0: Element, codes: Iterable[Codes], provenance: Iterable[str]) -> None:
         v = group.order
         flat: list[int] = []
         for block in codes:
@@ -234,12 +232,16 @@ class Design(Record):
                     flat += block
                     continue
             raise InvalidInputError(f"blocks must be 4 increasing element codes below {v}: {block!r}")
-        if set(map(type, provenance)) - {str}:
+        try:
+            tags = tuple(provenance)  # the same object when it is a tuple
+        except TypeError:  # not iterable: refused below, as a tag that is no string
+            tags = (None,)
+        if set(map(type, tags)) - {str}:
             raise InvalidInputError("design provenance must be a list of strings")
-        if len(flat) != 4 * len(provenance):
+        if len(flat) != 4 * len(tags):
             raise InvalidInputError("provenance must align with blocks")
         _validate_h0(group, h0)
-        self.__dict__.update(group=group, h0=h0, provenance=provenance, _packed=_Packed(flat))
+        self.__dict__.update(group=group, h0=h0, provenance=tags, _packed=_Packed(flat))
 
     @classmethod
     def _from_orbits(cls, group: Group, h0: Element, tagged: list[tuple[Codes, str]]) -> Design:
@@ -304,7 +306,9 @@ class Design(Record):
         """The number of blocks, which a constructed design counts without
         rendering them: v blocks per block through 0, over its four points."""
         through_zero = self.__dict__.get("_through_zero")
-        return len(self._packed) if through_zero is None else self.group.order * len(through_zero) // 4
+        if through_zero is None:
+            return len(self._packed)
+        return orbits._family_size(self.group.order, len(through_zero), 4)
 
     def verify(self) -> VerificationReport:
         """Triple coverage and reversibility of the blocks, as
@@ -606,7 +610,7 @@ def _through_zero(g: Group, tagged: list[tuple[Codes, str]]) -> list[tuple[Codes
     """The distinct through-0 members of the orbit of each base in
     ``tagged``, each with its base's tag: the blocks through 0 of the union
     of the orbits, each once when the orbits are distinct."""
-    return [(member, tag) for base, tag in tagged for member in set(orbits._through_zero_candidates(g, base))]
+    return [(member, tag) for base, tag in tagged for member in orbits._members_through_zero(g, base)]
 
 
 def _orbits_form_sqs(g: Group, bases: list[Codes], through_zero: list[Codes]) -> bool:
@@ -753,22 +757,17 @@ class ExistenceVerdict(Record):
         return payload
 
 
-def condition_iv_diagnostics(g: Group) -> dict:
+def condition_iv_diagnostics(g: Group, own_one_factor: bool | None = None) -> dict:
     """Residue conditions and per-prime cyclic checks behind the
     existence criterion for cyclic Sylow 2-subgroups.
 
     For each odd prime p dividing v the Koehler graph of the cyclic group of
     order 2p is matched directly; primes whose graph exceeds the capacity
-    limit are reported as unevaluated rather than guessed.
+    limit are reported as unevaluated rather than guessed.  ``own_one_factor``
+    is whether g's own Koehler graph has a 1-factor, when the caller has
+    matched it already.  Every abelian group of order 2p is cyclic, so for
+    v = 2p that answers the check of p without building the graph again.
     """
-    return _condition_iv(g, None)
-
-
-def _condition_iv(g: Group, own_one_factor: bool | None) -> dict:
-    """:func:`condition_iv_diagnostics`; ``own_one_factor`` is whether g's own
-    Koehler graph has a 1-factor, when the caller has matched it already.
-    Every abelian group of order 2p is cyclic, so for v = 2p that answers the
-    check of p without building the graph again."""
     v = g.order
     diagnostics = {
         "v": v,
@@ -840,7 +839,7 @@ def existence_check(g: Group) -> ExistenceVerdict:
         design = construct_design(g)
     except ConstructionFailure as exc:
         design, failure = None, exc
-    diagnostics = _condition_iv(g, design is not None) if sylow_cyclic else {}
+    diagnostics = condition_iv_diagnostics(g, design is not None) if sylow_cyclic else {}
     if design is None:
         witness = tuple(str(vtx) for vtx in failure.component)
         if sylow_cyclic:

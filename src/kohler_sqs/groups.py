@@ -325,15 +325,14 @@ def make_group(factors: list[int] | tuple[int, ...]) -> Group:
 def parse_group_spec(spec: str) -> Group:
     """Parse a CLI group spec such as ``2,2,5`` or ``Z4xZ4``.
 
-    Case-insensitive; the ``Z`` prefix is optional and ``x`` or ``,`` both
-    separate factors.
+    Case-insensitive; the ``Z`` prefix is optional, ``x`` or ``,`` both
+    separate factors, and spaces are allowed around a factor but not inside it.
     """
-    cleaned = spec.replace(" ", "")
-    if not cleaned:
+    if not spec.strip(" "):
         raise InvalidSpecError("empty group spec")
-    tokens = re.split(r"[x,]", cleaned, flags=re.IGNORECASE)
     factors = []
-    for token in tokens:
+    for token in re.split(r"[x,]", spec, flags=re.IGNORECASE):
+        token = token.strip(" ")
         digits = token[1:] if token[:1] in ("z", "Z") else token
         try:
             factor = _ascii_int(digits)
@@ -345,4 +344,3 @@ def parse_group_spec(spec: str) -> Group:
             raise InvalidSpecError(f"cannot parse group spec token {token!r} in {spec!r}")
         factors.append(factor)
     return make_group(factors)
-

@@ -5,7 +5,7 @@ negation map x -> -x, so the orbit of a subset X is
 ``{X + a} union {-X + a}`` over all a in A.  Every orbit of a triple or
 quadruple contains members through 0, and all of them arise as ``X - x`` or
 ``-X + x`` for x in X; the canonical representative is the lexicographically
-least of those candidates.  Two subsets lie in the same orbit exactly when
+least of those members.  Two subsets lie in the same orbit exactly when
 their canonical forms coincide.
 
 Two families matter to the construction: the vertex family T of triple
@@ -16,12 +16,12 @@ special ones, which the forced blocks B0 cover.
 Every function here works on element codes (see :mod:`kohler_sqs.groups`);
 the public ones take and return coordinate tuples and convert at the
 boundary.  Codes keep lexicographic order, so a canonical base is the least
-sorted code tuple among the candidates, exactly as it is among tuples.
+sorted code tuple among those members, exactly as it is among tuples.
 """
 
 from __future__ import annotations
 
-from .errors import InvalidInputError
+from .errors import InternalInconsistencyError, InvalidInputError
 from .groups import Element, Group, Record
 
 Subset = tuple[Element, ...]
@@ -60,21 +60,23 @@ def _decoded(elements: tuple[Element, ...], codes) -> Subset:
     return tuple(map(elements.__getitem__, codes))
 
 
-def _through_zero_candidates(g: Group, pts: Codes) -> list[Codes]:
-    """The orbit members through 0: ``X - x`` and ``-X + x`` for x in X,
-    each sorted.  ``(-p) - (-x)`` is ``-(p - x)``, so one difference row per
-    x gives both."""
-    sub, neg = g.sub_codes, g.neg_table
-    out = []
-    for x in pts:
-        row = [sub(p, x) for p in pts]
-        out.append(tuple(sorted(row)))
-        out.append(tuple(sorted(neg[d] for d in row)))
+def _members_through_zero(g: Group, pts: Codes) -> set[Codes]:
+    """The distinct orbit members through 0: ``X - x`` and ``-X + x`` for x
+    in X, each sorted.  Each difference ``p - x`` or ``x - p`` is read from
+    the spread codes of X and of -X (see :meth:`Group.add_codes`), without a
+    call per difference."""
+    spread, fold, neg = g._spread, g._fold, g.neg_table
+    plus = [spread[p] for p in pts]
+    minus = [spread[neg[p]] for p in pts]
+    out = set()
+    for x, nx in zip(plus, minus):
+        out.add(tuple(sorted([fold[p + nx] for p in plus])))
+        out.add(tuple(sorted([fold[x + nq] for nq in minus])))
     return out
 
 
 def _canonical(g: Group, pts: Codes) -> Codes:
-    return min(_through_zero_candidates(g, pts))
+    return min(_members_through_zero(g, pts))
 
 
 def _triple_pairs(neg, a: int, b: int, ba: int) -> tuple[tuple[int, int], ...]:
@@ -118,13 +120,13 @@ def expand_orbit(g: Group, rep: OrbitRep) -> set[Subset]:
     return {_decoded(elements, member) for member in members}
 
 
-def _orbit_size(g: Group, base: Codes) -> int:
-    """Size of the orbit of ``base``: counting pairs (x, X) with x in X gives
-    |X| * |orbit| = v * n0, n0 the number of members through 0."""
-    n0 = len(set(_through_zero_candidates(g, base)))
-    size, remainder = divmod(g.order * n0, len(base))
+def _family_size(v: int, n: int, k: int) -> int:
+    """The size of a family of k-sets invariant under translation, with n
+    members through 0: counting pairs (x, X) with x in X gives
+    k * |family| = v * n."""
+    size, remainder = divmod(v * n, k)
     if remainder:
-        raise InvalidInputError(f"orbit size identity failed for {_decoded(g.elements(), base)!r}")
+        raise InternalInconsistencyError(f"no invariant family of {k}-sets on {v} points has {n} members through 0")
     return size
 
 

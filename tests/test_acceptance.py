@@ -273,7 +273,8 @@ def test_criterion_7_property_suite():
                 assert all(c == 1 for c in cover.values()), (g.factors, edge.base)
 
             for base in triple_orbit_reps(g):
-                size = orbits._orbit_size(g, tuple(map(g.encode, base)))
+                codes = tuple(map(g.encode, base))
+                size = orbits._family_size(g.order, len(orbits._members_through_zero(g, codes)), len(codes))
                 assert size == len(expand_orbit(g, OrbitRep(g, base))), (g.factors, base)
 
             h0 = None
@@ -281,7 +282,8 @@ def test_criterion_7_property_suite():
                 h0 = choose_h0(g)
             for base in quadruple_orbit_reps(g):
                 rep = OrbitRep(g, base)
-                size = orbits._orbit_size(g, tuple(map(g.encode, base)))
+                codes = tuple(map(g.encode, base))
+                size = orbits._family_size(g.order, len(orbits._members_through_zero(g, codes)), len(codes))
                 assert size == len(expand_orbit(g, rep)), (g.factors, base)
                 tag = classify_quadruple(g, rep, h0)
                 assert (tag != QUAD_ASYMMETRIC) == is_symmetric_block(g, base), (

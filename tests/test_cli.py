@@ -527,6 +527,13 @@ def test_construct_bad_spec_exit_1(capsys):
     assert code == 1
 
 
+def test_a_space_inside_a_factor_exit_1(capsys):
+    # "1 0 0" is no spec for Z100: spaces may stand around a factor only
+    code, out, err = run_cli(capsys, "exists", "--group", "1 0 0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("command", ["construct", "exists", "graph", "count"])
 def test_group_spec_past_the_digit_limit_exit_1(capsys, command):
     # a factor longer than int() converts is a usage error, not a traceback

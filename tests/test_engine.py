@@ -162,6 +162,29 @@ def test_block_count_identity():
         assert d.block_count == len(b0_blocks(d)) + v * (len(graph.vertices) // 2)
 
 
+def test_every_count_reads_the_listing_construction_checks():
+    # count_B0 and block_count count the blocks through 0 that
+    # Design._from_orbits checks, so each meets its closed form
+    for g in abelian_groups_up_to(64):
+        if not engine.sqs_order_ok(g.order):
+            continue
+        assert engine.count_B0(g, choose_h0(g)) == count_B0_formula(g), str(g)
+        try:
+            design = construct_design(g)
+        except ConstructionFailure:
+            continue
+        assert design.block_count == len(design.codes) == comb(g.order, 3) // 4, str(g)
+
+
+def test_family_size_refuses_a_remainder():
+    assert orbits._family_size(10, 3, 3) == 10
+    assert orbits._family_size(20, 1, 4) == 5
+    with pytest.raises(InternalInconsistencyError):
+        orbits._family_size(10, 1, 4)
+    with pytest.raises(InternalInconsistencyError):
+        orbits._family_size(10, 2, 3)
+
+
 def test_factor_blocks_are_edge_orbits():
     # outside B0 everything comes from the edge family
     for g in (Z10, Z20, Z44):
@@ -915,14 +938,14 @@ def _base_mutations(g, bases: list):
     if asymmetric is not None:
         yield bases[:k] + [asymmetric] + bases[k + 1 :]
     orbits_met = {orbits._canonical(g, base) for base in bases}
-    n0 = len(set(orbits._through_zero_candidates(g, bases[k])))
+    n0 = len(orbits._members_through_zero(g, bases[k]))
     twin = next(
         (
             base
             for base in ((0, *rest) for rest in combinations(range(1, g.order), 3))
             if is_symmetric(g, base)
             and orbits._canonical(g, base) not in orbits_met
-            and len(set(orbits._through_zero_candidates(g, base))) == n0
+            and len(orbits._members_through_zero(g, base)) == n0
         ),
         None,
     )

@@ -55,15 +55,18 @@ def test_make_group_rejects_bad_factors(bad):
         ("z4 X z4", (4, 4)),
         ("10", (10,)),
         ("Z2,z10", (2, 10)),
+        (" 2 , 2 , 5 ", (2, 2, 5)),
     ],
 )
 def test_parse_group_spec(spec, factors):
     assert parse_group_spec(spec).factors == factors
 
 
-# digits other than ASCII ones (Arabic-Indic, fullwidth), and a token that
-# ends in a newline
-@pytest.mark.parametrize("spec", ["", "Z", "4x", "a,b", "2;3", "\u0662,\u0662,\u0665", "Z\uff12", "2,2,5\n"])
+# digits other than ASCII ones (Arabic-Indic, fullwidth), a token that ends
+# in a newline, and spaces inside a factor
+@pytest.mark.parametrize(
+    "spec", ["", "Z", "4x", "a,b", "2;3", "\u0662,\u0662,\u0665", "Z\uff12", "2,2,5\n", "2 5", "1 0 0", "Z 1 0"]
+)
 def test_parse_group_spec_rejects(spec):
     with pytest.raises(InvalidSpecError):
         parse_group_spec(spec)

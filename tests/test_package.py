@@ -120,6 +120,27 @@ def test_the_one_constructor_without_the_block_check_checks_orbits_first():
     assert len(guards) == 1
 
 
+def test_every_private_runtime_definition_is_used():
+    # a private function, method or class that no runtime code reads is dead
+    # code, or a test-only oracle that belongs under tests/
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(Path(kohler_sqs.__file__).parent.glob("*.py"))]
+    defined = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert defined <= read, f"private definitions the package never reads: {sorted(defined - read)}"
+
+
 SRC = Path(kohler_sqs.__file__).resolve().parent.parent
 
 # modules no command needs at start-up, each paid for by every command that

@@ -100,6 +100,18 @@ def test_positional_and_keyword_construction_agree(cls):
         cls(**dict(zip(names, values)), unknown=None)
 
 
+def test_a_design_holds_its_tags_as_a_tuple():
+    # a list or a generator of tags makes the design the tuple makes, which hashes
+    codes = ((0, 1, 2, 3),)
+    by_tuple = Design(Z2x4, (1, 0), codes, ("B0",))
+    for tags in (["B0"], (tag for tag in ("B0",))):
+        design = Design(Z2x4, (1, 0), codes, tags)
+        assert design.provenance == ("B0",)
+        assert design == by_tuple and hash(design) == hash(by_tuple)
+    with pytest.raises(InvalidInputError, match="design provenance must be a list of strings"):
+        Design(Z2x4, (1, 0), codes, 5)
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_trailing_parameters_have_their_defaults(cls):
     names, _, values, _ = RECORDS[cls]

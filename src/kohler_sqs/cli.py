@@ -16,9 +16,6 @@ limit (default 10000).
 from __future__ import annotations
 
 import argparse
-import gc
-import io
-import json
 import sys
 
 from . import engine, kohler
@@ -92,37 +89,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _read_design(path: str) -> engine.Design:
-    """The design in the file at ``path``, which is read once, so a pipe or
-    a FIFO serves as well as a file.  Bytes laid out as
-    :meth:`~kohler_sqs.engine.Design.write_json` writes a design are read
-    straight to codes; any others are parsed as JSON text, decoded as a
-    text-mode ``open`` decodes them, and a file that is not UTF-8 JSON
-    raises InvalidInputError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    design = engine._design_from_bytes(data)
-    if design is not None:
-        return design
-    # the parsed document is freed once the design is made from it; it holds
-    # no cycles, so the cyclic collector is paused until then (paused for
-    # the parse alone, it would walk the document while the design is made)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        # the bytes are dropped once decoded, and the text once parsed
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-        del data
-        payload = json.loads(text)
-        del text
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad JSON, bytes that are not UTF-8 and integer
-        # literals past int()'s digit limit; RecursionError, deep nesting
-        raise InvalidInputError(f"cannot read {path} as JSON: {exc}") from exc
-    else:
-        return engine.design_from_json_dict(payload)
-    finally:
-        if enabled:
-            gc.enable()
+    """The design in the file at ``path``; see :func:`engine._design_from_file`."""
+    with open(path, "rb", buffering=0) as fh:  # read whole: a buffer would be held to no use
+        return engine._design_from_file(fh)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -19,8 +19,10 @@ over Z2 x Z2 x Z5).
 
 from __future__ import annotations
 
+import gc
+import io
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import chain, combinations, islice
 from math import comb
@@ -194,7 +196,7 @@ class _Packed:
 
         try:
             self.flat = array("I", flat)
-        except OverflowError:  # codes past the array's range stay a list
+        except OverflowError:  # codes past the array's range keep the list given; an iterator would be spent
             self.flat = flat
 
     def __len__(self) -> int:
@@ -211,10 +213,10 @@ class Design(Record):
     ``codes[i]`` is block i as a sorted 4-tuple of element codes, and
     ``provenance[i]`` is ``"B0"`` or ``"factor:<edge-index>"``, an index into
     the Koehler graph's edges.  The blocks are read from one store, a
-    :class:`_Packed`.  A design made from codes checks them, the tags and
-    ``h0``, and packs the codes as it is made.  A constructed design holds
-    only its blocks through 0, each with its base's tag, its orbits checked
-    instead: its blocks are rendered from those in lexicographic order on
+    :class:`_Packed`.  A design made from codes checks ``h0``, then the
+    codes, packing each block as it reads it, then the tags.  A constructed
+    design holds only its blocks through 0, each with its base's tag, its
+    orbits checked instead: its blocks are rendered from those in lexicographic order on
     demand, into the store once it is read, and ``provenance`` on first
     read.  ``codes`` renders the store as tuples, and :attr:`blocks` decodes
     it to coordinate tuples, on first read; :meth:`verify` reads it packed.
@@ -223,6 +225,7 @@ class Design(Record):
     _fields = ("group", "h0", "codes", "provenance")
 
     def __init__(self, group: Group, h0: Element, codes: Iterable[Codes], provenance: Iterable[str]) -> None:
+        _validate_h0(group, h0)
         v = group.order
         flat: list[int] = []
         for block in codes:
@@ -233,14 +236,14 @@ class Design(Record):
                     continue
             raise InvalidInputError(f"blocks must be 4 increasing element codes below {v}: {block!r}")
         try:
-            tags = tuple(provenance)  # the same object when it is a tuple
+            # a string or a mapping would give its characters or its keys
+            tags = (None,) if isinstance(provenance, (str, Mapping)) else tuple(provenance)
         except TypeError:  # not iterable: refused below, as a tag that is no string
             tags = (None,)
         if set(map(type, tags)) - {str}:
             raise InvalidInputError("design provenance must be a list of strings")
         if len(flat) != 4 * len(tags):
             raise InvalidInputError("provenance must align with blocks")
-        _validate_h0(group, h0)
         self.__dict__.update(group=group, h0=h0, provenance=tags, _packed=_Packed(flat))
 
     @classmethod
@@ -342,27 +345,62 @@ class Design(Record):
 
 def design_from_json_dict(payload: dict) -> Design:
     # no value is coerced: a factor or coordinate that is not a JSON integer
-    # (a float, a string, a bool) is no element and is rejected
+    # (a float, a string, a bool) is no element and is rejected.  Design reads
+    # the blocks and the tags as it checks them, after h0, so each fault is
+    # named only once all that Design checks before it has passed
     try:
         factors = list(payload["group"])
         if factors != sorted(factors):
             # coordinates are relative to the factor order; refuse to reinterpret
-            raise InvalidInputError(
-                f"design group factors must be sorted ascending, got {factors}"
-            )
+            raise InvalidInputError(f"design group factors must be sorted ascending, got {factors}")
         g = make_group(factors)
-        h0 = _validate_h0(g, tuple(payload["h0"]))
-        blocks = payload["blocks"]
-        if type(blocks) is not list:
-            raise InvalidInputError("design blocks must be a list of blocks")
+        h0 = tuple(payload["h0"])
+        blocks = _listed(payload, "blocks", "design blocks must be a list of blocks")
         codes = _encode_blocks(g, (map(tuple, block) for block in blocks))
-        # checked after the blocks, so that a bad block is named first; Design checks the tags
-        provenance = payload["provenance"]
-        if type(provenance) is not list:
-            raise InvalidInputError("design provenance must be a list of strings")
+        provenance = _listed(payload, "provenance", "design provenance must be a list of strings")
+        return Design(group=g, h0=h0, codes=codes, provenance=provenance)
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed design payload: {exc}") from exc
-    return Design(group=g, h0=h0, codes=codes, provenance=tuple(provenance))
+
+
+def _listed(payload: dict, key: str, message: str) -> Iterator:
+    """The items of the list ``payload[key]``, looked up when the first is
+    read; a value that is not a list raises InvalidInputError(message)."""
+    items = payload[key]
+    if type(items) is not list:
+        raise InvalidInputError(message)
+    yield from items
+
+
+def _design_from_file(fh) -> Design:
+    """The design in the open binary file ``fh``, read once, so a pipe or a
+    FIFO serves as well as a file: by :func:`_design_from_bytes`, or else as
+    JSON text, decoded as a text-mode ``open`` decodes it.  A file that is
+    not UTF-8 JSON raises InvalidInputError."""
+    data = fh.read()
+    design = _design_from_bytes(data)
+    if design is not None:
+        return design
+    # the parsed document is freed once the design is made from it; it holds
+    # no cycles, so the cyclic collector is paused until then (paused for
+    # the parse alone, it would walk the document while the design is made)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # the bytes are dropped once decoded, and the text once parsed
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        del data
+        payload = json.loads(text)
+        del text
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integer
+        # literals past int()'s digit limit; RecursionError, deep nesting
+        raise InvalidInputError(f"cannot read {fh.name} as JSON: {exc}") from exc
+    else:
+        return design_from_json_dict(payload)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _BLOCKS_HEAD = b'{"blocks":['
@@ -382,27 +420,16 @@ def _design_from_bytes(data: bytes) -> Design | None:
     The keys must be ``blocks``, ``group``, ``h0`` and ``provenance``, once
     each and in that order, and every point of the blocks must be written as
     the writer writes it: no space, no sign, no leading zero.  The blocks
-    are never parsed as JSON.  They are read in chunks of about
-    :data:`READ_CHUNK` bytes, each ending with a block, and each chunk is
-    mapped to codes as :class:`Design` reads it, which packs them.  Its
-    digits removed, a chunk must be copies of one block skeleton
-    (``[[,],[,],[,],[,]]`` for two coordinates) joined by commas.  Inside
-    its outer brackets, split at ``],[`` and ``]],[[``, it must give four
-    points per copy, and each point's text (``0,3``) is looked up in a table
-    of the v elements' texts, so anything but an element misses: a digit
-    outside the points leaves a bracket in some point's text.  ``group`` and
+    are never parsed as JSON: :func:`_read_blocks` maps them to codes one
+    chunk at a time, as :class:`Design` reads and packs them.  ``group`` and
     ``h0`` are parsed as JSON, and the tags in pieces (see :func:`_read_tags`),
     equal tags kept as one object.  :class:`Design` is the one check of what
-    is read: the codes, the tags and h0.  Every other input gets None, and
+    is read: h0, the codes and the tags.  Every other input gets None, and
     the caller reads it as JSON, which names its fault; a design read here
     is the one that path would build."""
-    if not data.startswith(_BLOCKS_HEAD):
-        return None
     end = data.find(_BLOCKS_TAIL)
-    if end < 0:
-        return None
     tags = data.find(_TAGS_HEAD, end)
-    if tags < 0:
+    if not data.startswith(_BLOCKS_HEAD) or min(end, tags) < 0:
         return None
     try:
         # decoded as strictly as a text-mode read, so no byte the fallback
@@ -415,58 +442,52 @@ def _design_from_bytes(data: bytes) -> Design | None:
         ):
             return None
         provenance = _read_tags(data, tags + len(_TAGS_HEAD))
-        if provenance is None:
-            return None
         g = make_group(factors)
-        blocks = chain.from_iterable(_read_blocks(data, end, g))
-        return Design(group=g, h0=tuple(h0), codes=blocks, provenance=provenance)
+        return Design(g, tuple(h0), chain.from_iterable(_read_blocks(data, end, g)), provenance)
     except (KohlerSqsError, ValueError, TypeError, RecursionError):
         return None
 
 
-def _read_tags(data: bytes, start: int) -> tuple | None:
+def _read_tags(data: bytes, start: int) -> tuple:
     """The tags of the provenance array that opens before ``data[start]``
-    and closes at the end of ``data``, but for ``}`` and JSON whitespace; or
-    None when the text holds a backslash or does not end so.
+    and closes at the end of ``data``, but for ``}`` and JSON whitespace;
+    ValueError when the text holds a backslash or does not end so.
 
-    The text is cut into pieces of about :data:`READ_CHUNK` bytes, each cut
-    made after the first quote of a ``","``, and each piece is parsed as a
-    JSON list.  With no backslash, every quote opens or closes a string, in
-    turn: a cut after a quote that opens one leaves that string unterminated,
-    so a piece that parses was cut between two tags, and the pieces' tags
-    are those of the whole array.  A piece that does not parse raises
-    ValueError.  Equal tags are kept as one object, shared through one dict
-    as the pieces are read; no string equals a non-string, so sharing swaps
-    no string tag for a tag of another type, which Design refuses either
-    way."""
+    The text is cut into pieces (see :func:`_pieces`) after the first quote
+    of a ``","``, and each piece is parsed as a JSON list.  With no
+    backslash, every quote opens or closes a string, in turn: a cut after a
+    quote that opens one leaves that string unterminated, so a piece that
+    parses was cut between two tags, and the pieces' tags are those of the
+    whole array.  A piece that does not parse raises ValueError.  Equal tags
+    are kept as one object, shared through one dict as the pieces are read;
+    no string equals a non-string, so sharing swaps no string tag for a tag
+    of another type, which Design refuses either way."""
     close = data.rfind(b"]", start)
     # JSON whitespace is these four bytes
     if close < 0 or data[close + 1 :].strip(b" \t\n\r") != b"}" or data.find(b"\\", start, close) >= 0:
-        return None
+        raise ValueError("not the writer's layout")
     shared: dict = {}
     tags: list = []
-    while start < close:
-        cut = data.find(b'","', start + READ_CHUNK, close)
-        stop = close if cut < 0 else cut + 1
-        piece = json.loads("[" + data[start:stop].decode("utf-8") + "]")
+    for text in _pieces(data, start, close, b'","'):
+        piece = json.loads("[" + text.decode("utf-8") + "]")
         tags += map(shared.setdefault, piece, piece)
-        start = stop + 1
     return tuple(tags)
 
 
 def _read_blocks(data: bytes, end: int, g: Group) -> Iterator[Iterator[Codes]]:
     """The blocks written in ``data`` before ``end`` as 4-tuples of codes,
-    one iterator per chunk (see :func:`_design_from_bytes`); a point that is
-    no element reads as None.  A chunk that is not copies of the block
-    skeleton raises ValueError."""
+    one iterator per chunk, each cut (see :func:`_pieces`) between two
+    blocks.  Its digits removed, a chunk must be copies of one block
+    skeleton (``[[,],[,],[,],[,]]`` for two coordinates) joined by commas,
+    or ValueError is raised.  Inside its outer brackets, split at ``],[``
+    and ``]],[[``, it must give four points per copy, and each point's text
+    (``0,3``) is looked up in a table of the v elements' texts, so anything
+    but an element misses and reads as None: a digit outside the points
+    leaves a bracket in some point's text."""
     point = b"[" + b"," * (len(g.factors) - 1) + b"]"
     unit = b"[" + b",".join([point] * 4) + b"]"
     table = {_dumps(x)[1:-1].encode(): code for code, x in enumerate(g.elements())}
-    start = len(_BLOCKS_HEAD)
-    while start < end:
-        cut = data.find(b"]],[[", start + READ_CHUNK, end)
-        cut = end if cut < 0 else cut + 2
-        chunk = data[start:cut]
+    for chunk in _pieces(data, len(_BLOCKS_HEAD), end, b"]],[["):
         skeleton = chunk.translate(None, b"0123456789")
         units = (len(skeleton) + 1) // (len(unit) + 1)
         points = chunk[2:-2].replace(b"]],[[", b"],[").split(b"],[")
@@ -474,17 +495,27 @@ def _read_blocks(data: bytes, end: int, g: Group) -> Iterator[Iterator[Codes]]:
             raise ValueError("not the writer's layout")
         quads = map(table.get, points)
         yield zip(quads, quads, quads, quads)
-        start = cut + 1
 
 
-def _encode_blocks(g: Group, blocks) -> _Packed:
-    """Validate each block and pack its sorted codes.
+def _pieces(data: bytes, start: int, end: int, separator: bytes) -> Iterator[bytes]:
+    """``data[start:end]`` in pieces of :data:`READ_CHUNK` bytes or more,
+    each cut at the comma of the first ``separator`` past that size, which
+    is in no piece."""
+    keep = separator.index(b",")
+    while start < end:
+        cut = data.find(separator, start + READ_CHUNK, end)
+        stop = end if cut < 0 else cut + keep
+        yield data[start:stop]
+        start = stop + 1
+
+
+def _encode_blocks(g: Group, blocks) -> Iterator[Codes]:
+    """Each block's sorted codes, validated as it is read.
 
     ``blocks`` is read one block at a time, each block as a tuple of four
     points that :meth:`Group.encode` reads, which raises the error; every
     earlier block passed, so the error names the first bad block of the
     input."""
-    flat: list[int] = []
     for block in blocks:
         b = tuple(block)  # a block or point that is not iterable raises TypeError here
         if len(b) != 4:
@@ -492,8 +523,7 @@ def _encode_blocks(g: Group, blocks) -> _Packed:
         p, q, r, s = sorted(map(g.encode, b))
         if not p < q < r < s:
             raise InvalidInputError(f"blocks must have 4 distinct elements: {b!r}")
-        flat += (p, q, r, s)
-    return _Packed(flat)
+        yield p, q, r, s
 
 
 def construct_design(g: Group, h0: Element | None = None) -> Design:
@@ -567,7 +597,7 @@ class VerificationReport(Record):
 
 def verify_design(g: Group, blocks) -> VerificationReport:
     """Full verification: coverage plus reversibility."""
-    return _design_report(g, _encode_blocks(g, blocks))
+    return _design_report(g, _Packed(list(chain.from_iterable(_encode_blocks(g, blocks)))))
 
 
 def _design_report(g: Group, codes: _Packed) -> VerificationReport:

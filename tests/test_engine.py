@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 from collections import Counter, namedtuple
@@ -389,6 +390,84 @@ def test_design_from_json_names_the_first_fault(tmp_path, capsys, fault):
     path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     assert cli.main(["verify", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_DELETED = object()
+
+# edits of the Z2xZ2xZ5 design's JSON whose faults Design finds in an order
+# of its own (h0, then the blocks, then the tags), each with the error the
+# JSON path gave when it checked h0, the blocks and the tags list itself; an
+# edit to _DELETED removes the key
+PRECEDENCE_FAULTS = {
+    "bad-h0-then-blocks-number": (
+        [(("h0",), [0, 0, 1]), (("blocks",), 7)],
+        "h0 must have order 2, got (0, 0, 1)",
+    ),
+    "bad-h0-then-no-blocks": (
+        [(("h0",), [0, 0, 1]), (("blocks",), _DELETED)],
+        "h0 must have order 2, got (0, 0, 1)",
+    ),
+    "no-h0-then-short-block": (
+        [(("h0",), _DELETED), (("blocks", 270), [[0, 0, 1]])],
+        "malformed design payload: 'h0'",
+    ),
+    "block-number-then-no-provenance": (
+        [(("blocks", 270), 7), (("provenance",), _DELETED)],
+        "malformed design payload: 'int' object is not iterable",
+    ),
+    "short-block-then-provenance-string": (
+        [(("blocks", 270), [[0, 0, 1]]), (("provenance",), "B0")],
+        "blocks must have 4 distinct elements: ((0, 0, 1),)",
+    ),
+    "provenance-object": ([(("provenance",), {"B0": 0})], "design provenance must be a list of strings"),
+}
+
+
+@pytest.mark.parametrize("fault", list(PRECEDENCE_FAULTS))
+def test_design_from_json_keeps_the_precedence_of_its_faults(tmp_path, capsys, fault):
+    payload = design_json_dict(construct_design(Z225))
+    edits, message = PRECEDENCE_FAULTS[fault]
+    for path, value in edits:
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DELETED:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    with pytest.raises(InvalidInputError) as exc:
+        design_from_json_dict(payload)
+    assert str(exc.value) == message
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_each_reader_packs_once_and_checks_h0_once(monkeypatch):
+    # Design is the one packer of a design read from outside, and the one
+    # check of its h0, whether it is read as JSON or in the writer's layout
+    design = construct_design(make_group([4, 25]))
+    payload = design_json_dict(design)
+    data = io.StringIO()
+    design.write_json(data)
+    stores = []
+
+    class Counted(engine._Packed):
+        __slots__ = ()
+
+        def __init__(self, flat):
+            stores.append(self)
+            super().__init__(flat)
+
+    monkeypatch.setattr(engine, "_Packed", Counted)
+    checks = _count_calls(monkeypatch, engine, "_validate_h0")
+    made = design_from_json_dict(payload)
+    assert (len(stores), len(checks)) == (1, 1)
+    del stores[:], checks[:]
+    read = engine._design_from_bytes(data.getvalue().encode("utf-8"))
+    assert (len(stores), len(checks)) == (1, 1)
+    assert made == read == design
 
 
 def test_block_encoder_agrees_with_the_reference():
@@ -1047,7 +1126,7 @@ def _design(g, codes) -> Design:
 def test_valid_designs_are_decided_through_zero_without_counting(monkeypatch):
     # each construction with v <= 64, and the SQS(20) fixture
     g20 = sqs20_group()
-    designs = [*constructed_designs(64), _design(g20, engine._encode_blocks(g20, sorted(sqs20_blocks())))]
+    designs = [*constructed_designs(64), _design(g20, tuple(engine._encode_blocks(g20, sorted(sqs20_blocks()))))]
 
     def refuse(*args):
         raise AssertionError("a valid invariant design needs no triple count")

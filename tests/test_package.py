@@ -121,22 +121,30 @@ def test_the_one_constructor_without_the_block_check_checks_orbits_first():
 
 
 def test_every_private_runtime_definition_is_used():
-    # a private function, method or class that no runtime code reads is dead
-    # code, or a test-only oracle that belongs under tests/
+    # a private function, method, class or module constant that no runtime
+    # code reads is dead code, or a test-only oracle that belongs under tests/
     trees = [ast.parse(path.read_text(), str(path)) for path in sorted(Path(kohler_sqs.__file__).parent.glob("*.py"))]
-    defined = {
+    names = {
         node.name
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
     }
+    names |= {
+        target.id
+        for tree in trees
+        for statement in tree.body
+        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        for target in (statement.targets if isinstance(statement, ast.Assign) else [statement.target])
+        if isinstance(target, ast.Name)
+    }
+    defined = {name for name in names if name.startswith("_") and not name.startswith("__")}
+    # a name is read where it is loaded, not where it is assigned
     read = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
     }
     assert defined <= read, f"private definitions the package never reads: {sorted(defined - read)}"
 

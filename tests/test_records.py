@@ -208,6 +208,15 @@ def test_cached_properties_are_computed_once_per_record():
     assert design == Design(Z4, (2,), ((0, 1, 2, 3),), ("B0",))
 
 
+def test_a_design_refuses_a_string_or_a_mapping_of_tags():
+    # iterated, a string gives its characters and a mapping its keys, which
+    # are no list of tags even when they align with the blocks
+    codes = ((0, 1, 2, 3), (0, 1, 2, 4))
+    for tags in ("B0", {"B0": 0, "B1": 1}):
+        with pytest.raises(InvalidInputError, match="design provenance must be a list of strings"):
+            Design(Z2x4, (1, 0), codes, tags)
+
+
 def test_the_checks_run_in_order_when_a_record_is_made():
     for factors, message in (
         ((), "at least one cyclic factor"),
@@ -216,11 +225,12 @@ def test_the_checks_run_in_order_when_a_record_is_made():
     ):
         with pytest.raises(InvalidSpecError, match=message):
             Group(factors)
+    # h0 first, then the blocks, then the tags, each case with every later fault
     for codes, provenance, h0, message in (
-        (((0, 1, 2, 3), (3, 2, 1, 0)), (1,), (1,), "4 increasing element codes"),
-        (((0, 1, 2, 3),), (1,), (1,), "list of strings"),
-        (((0, 1, 2, 3),), (), (1,), "align"),
-        (((0, 1, 2, 3),), ("B0",), (1,), "order 2"),
+        (((0, 1, 2, 3), (3, 2, 1, 0)), (1,), (1,), "order 2"),
+        (((0, 1, 2, 3), (3, 2, 1, 0)), (1,), (2,), "4 increasing element codes"),
+        (((0, 1, 2, 3),), (1,), (2,), "list of strings"),
+        (((0, 1, 2, 3),), (), (2,), "align"),
     ):
         with pytest.raises(InvalidInputError, match=message):
             Design(Z4, h0, codes, provenance)

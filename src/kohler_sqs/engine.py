@@ -19,7 +19,6 @@ over Z2 x Z2 x Z5).
 
 from __future__ import annotations
 
-import gc
 import io
 import json
 from collections.abc import Iterable, Iterator, Mapping
@@ -381,11 +380,6 @@ def _design_from_file(fh) -> Design:
     design = _design_from_bytes(data)
     if design is not None:
         return design
-    # the parsed document is freed once the design is made from it; it holds
-    # no cycles, so the cyclic collector is paused until then (paused for
-    # the parse alone, it would walk the document while the design is made)
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         # the bytes are dropped once decoded, and the text once parsed
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
@@ -396,11 +390,7 @@ def _design_from_file(fh) -> Design:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integer
         # literals past int()'s digit limit; RecursionError, deep nesting
         raise InvalidInputError(f"cannot read {fh.name} as JSON: {exc}") from exc
-    else:
-        return design_from_json_dict(payload)
-    finally:
-        if enabled:
-            gc.enable()
+    return design_from_json_dict(payload)
 
 
 _BLOCKS_HEAD = b'{"blocks":['
@@ -604,8 +594,8 @@ def _design_report(g: Group, codes: _Packed) -> VerificationReport:
     """The report on ``codes``.  Distinct blocks with no image missing form a
     set invariant under translations and negation, which preserve symmetry,
     and each block has a translate through 0: the set is a reversible SQS
-    exactly when its blocks through 0 are symmetric and pass
-    :func:`_covers_pairs_once`.  A repeated block that misses 0 changes
+    exactly when its blocks through 0 pass :func:`_orbits_form_sqs` as
+    their own bases.  A repeated block that misses 0 changes
     neither the images nor the pairs through 0.  Anything else is listed."""
     # a group over the limit is refused before any Θ(v³) triple work
     g.check_capacity()
@@ -625,17 +615,6 @@ def _design_report(g: Group, codes: _Packed) -> VerificationReport:
     )
 
 
-def _covers_pairs_once(v: int, through_zero: list[Codes]) -> bool:
-    """Do the blocks {0, p, q, r} cover C(v-1, 2) pairs {p, q}, {p, r}, {q, r}
-    of nonzero codes with none repeated?  For a translation-invariant block
-    set that is exact triple coverage: translating by -x maps the blocks on
-    {x, y, z} onto those on {0, y-x, z-x}."""
-    pairs: list[int] = []
-    for _, p, q, r in through_zero:
-        pairs += (p * v + q, p * v + r, q * v + r)
-    return len(pairs) == comb(v - 1, 2) and len(set(pairs)) == len(pairs)
-
-
 def _through_zero(g: Group, tagged: list[tuple[Codes, str]]) -> list[tuple[Codes, str]]:
     """The distinct through-0 members of the orbit of each base in
     ``tagged``, each with its base's tag: the blocks through 0 of the union
@@ -646,10 +625,19 @@ def _through_zero(g: Group, tagged: list[tuple[Codes, str]]) -> list[tuple[Codes
 def _orbits_form_sqs(g: Group, bases: list[Codes], through_zero: list[Codes]) -> bool:
     """Are the orbits of ``bases`` the blocks of a reversible SQS on ``g``,
     given ``through_zero``, their members through 0 as :func:`_through_zero`
-    lists them?  Their union is invariant, and symmetric when every base is;
-    its blocks through 0 must pass :func:`_covers_pairs_once`, which a base
-    listed twice, or two bases of one orbit, fail by repeating every pair."""
-    return not orbits._asymmetric(g, bases) and _covers_pairs_once(g.order, through_zero)
+    lists them?  Their union is invariant, and symmetric when every base is.
+    Its blocks {0, p, q, r} through 0 must then cover the C(v-1, 2) pairs
+    {p, q}, {p, r}, {q, r} of nonzero codes with none repeated, which is
+    exact triple coverage for an invariant block set: translating by -x
+    maps the blocks on {x, y, z} onto those on {0, y-x, z-x}.  A base
+    listed twice, or two bases of one orbit, repeat every pair."""
+    if orbits._asymmetric(g, bases):
+        return False
+    v = g.order
+    pairs: list[int] = []
+    for _, p, q, r in through_zero:
+        pairs += (p * v + q, p * v + r, q * v + r)
+    return len(pairs) == comb(v - 1, 2) and len(set(pairs)) == len(pairs)
 
 
 def _missing_images(g: Group, codes: _Packed) -> tuple[bool, list[tuple[str, set[Codes]]]]:

@@ -184,7 +184,7 @@ class Group(Record):
             code = None
         # an equal tuple of non-ints, such as (1.0,) or (True,), hits the index
         # too; a hit is in range, so only the coordinate types are left to test
-        if code is None or (x is not self._element_tuple[code] and tuple(map(type, x)) != (int,) * len(x)):
+        if code is None or tuple(map(type, x)) != (int,) * len(x):
             raise InvalidInputError(f"{x!r} is not an element of {self}")
         return code
 
@@ -229,15 +229,9 @@ class Group(Record):
         fold, shift = self._fold, self._spread[a]
         return [fold[shift + s] for s in self._spread]
 
-    # add_codes and sub_codes sit on hot paths and leave their codes unchecked
-
     def add_codes(self, x: int, y: int) -> int:
-        """The code of ``x + y``."""
+        """The code of ``x + y``; the codes are not checked."""
         return self._fold[self._spread[x] + self._spread[y]]
-
-    def sub_codes(self, x: int, y: int) -> int:
-        """The code of ``x - y``."""
-        return self._fold[self._spread[x] + self._spread[self.neg_table[y]]]
 
     # Pair sums without a Cayley table: ``_spread`` rewrites a code in the
     # radix (2*d1 - 1, ..., 2*dk - 1), where adding two spread codes never

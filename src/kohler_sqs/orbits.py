@@ -100,17 +100,10 @@ def _checked_base(g: Group, rep: OrbitRep) -> Codes:
 
 
 def _expand(g: Group, base: Codes) -> set[Codes]:
-    """Every member of the orbit of ``base``, as sorted code tuples: one
-    translation row per point of ``base`` and of ``-base``.
-
-    When ``-base`` is among the translates of ``base``, say ``-base = base +
-    x``, then ``-base + a = base + (x + a)``: the translates of ``base`` are
-    the whole orbit and the rows of ``-base`` are skipped."""
-    out = {tuple(sorted(member)) for member in zip(*map(g.translation, base))}
+    """The orbit of X = ``base``, ``{X + a} union {-X + a}`` over all a, as
+    sorted code tuples."""
     negated = [g.neg_table[p] for p in base]
-    if tuple(sorted(negated)) not in out:
-        out.update(tuple(sorted(member)) for member in zip(*map(g.translation, negated)))
-    return out
+    return {tuple(sorted(member)) for side in (base, negated) for member in zip(*map(g.translation, side))}
 
 
 def expand_orbit(g: Group, rep: OrbitRep) -> set[Subset]:

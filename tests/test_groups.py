@@ -199,7 +199,7 @@ def test_codes_agree_with_tuple_arithmetic():
             assert [elements[c] for c in g.translation(a)] == [g.add(x, y) for x in elements]
             for b, z in enumerate(elements):
                 assert elements[g.add_codes(a, b)] == g.add(y, z)
-                assert elements[g.sub_codes(a, b)] == g.sub(y, z)
+                assert elements[g.add_codes(a, g.neg_table[b])] == g.sub(y, z)
         for a, b in combinations(elements[1:], 2):
             triple = (g.zero, a, b)
             assert canonicalize(g, triple).base == min(through_zero_sets(g, triple)), (g.factors, triple)
@@ -209,6 +209,11 @@ def test_encode_rejects_non_elements():
     g = make_group([2, 5])
     assert g.encode((1, 4)) == 9
     assert g.decode(9) == (1, 4)
+    # the coordinate types are tested, not the tuple's class: a bool is no
+    # coordinate, and a tuple subclass of ints is an element
+    with pytest.raises(InvalidInputError):
+        g.encode((True, 4))
+    assert g.encode(type("Point", (tuple,), {})((1, 4))) == 9
     for bad in [(1, 5), (1,), (1.0, 4), [1, 4], ([1], 4), "14"]:
         with pytest.raises(InvalidInputError):
             g.encode(bad)

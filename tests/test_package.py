@@ -149,6 +149,30 @@ def test_every_private_runtime_definition_is_used():
     assert defined <= read, f"private definitions the package never reads: {sorted(defined - read)}"
 
 
+def test_every_runtime_parameter_is_read():
+    # a parameter its function, nested function or lambda never reads is an
+    # argument left behind; a dunder method takes what its protocol passes
+    unread = []
+    for path in sorted(Path(kohler_sqs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            args = node.args
+            params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if arg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                child.id
+                for statement in body
+                for child in ast.walk(statement)
+                if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+            }
+            unread += [f"{path.name}:{node.lineno} {name}({param})" for param in params if param not in read]
+    assert not unread, f"parameters never read: {unread}"
+
+
 SRC = Path(kohler_sqs.__file__).resolve().parent.parent
 
 # modules no command needs at start-up, each paid for by every command that
